@@ -16,7 +16,7 @@ from .corpus import (
     parse_heads_line,
     read_parallel_corpus,
 )
-from .encoder import EncoderConfig, EncoderParams, ForwardTrace, encode
+from .encoder import EncoderConfig, EncoderParams
 from .errors import (
     CjlmError,
     ConfigError,
@@ -29,9 +29,8 @@ from .errors import (
 from .jointlm import (
     JointModelParams,
     SampleBatch,
+    param_spec,
     perplexity,
-    predict_log_probs,
-    sample_log_prob,
 )
 from .nbest import NBestEntry, parse_nbest_line, score_nbest
 from .serialization import ModelArtifact, load_model, save_model
@@ -57,7 +56,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "ExtractionStats",
-    "ForwardTrace",
     "GradientStore",
     "JointModelParams",
     "ModelArtifact",
@@ -73,7 +71,6 @@ __all__ = [
     "backward",
     "build_vocabulary",
     "compute_affiliation",
-    "encode",
     "extract_corpus_samples",
     "extract_samples",
     "gradient_check",
@@ -81,13 +78,12 @@ __all__ = [
     "map_tokens",
     "minibatch_loss",
     "pad_source",
+    "param_spec",
     "parse_alignment_line",
     "parse_heads_line",
     "parse_nbest_line",
     "perplexity",
-    "predict_log_probs",
     "read_parallel_corpus",
-    "sample_log_prob",
     "save_model",
     "score_nbest",
     "sgd_step",

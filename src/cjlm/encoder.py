@@ -20,16 +20,11 @@ Fusion is either content-conditioned gating (a logistic gate over window pairs
 locally, a softmax-weighted sum globally) or the max-pooling ablation (pairwise
 max locally, mean of the per-feature top-k globally). Both produce identically
 shaped inputs for the projection.
-
-Single-sample operations here are the readable reference path; ``forward_batch``
-and ``backward_batch`` are the vectorized kernels used by training and bulk
-scoring, and the tests pin the two paths against each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -145,7 +140,7 @@ class EncoderConfig:
 
 @dataclass
 class EncoderParams:
-    """All learnable encoder tensors. Shapes are fixed by an EncoderConfig.
+    """All learnable encoder tensors, as ``jointlm.param_spec`` declares them.
 
     Gate tensors exist only under gating fusion; attention layers only for the
     attention arch. The PAD embedding row is fixed at zero and never trained.
@@ -163,368 +158,31 @@ class EncoderParams:
     gate_global_w: np.ndarray | None = None
     attn_layers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
-    @classmethod
-    def initialize(cls, cfg: EncoderConfig, vocab_size: int,
-                   rng: np.random.Generator,
-                   init_scale: float = INIT_SCALE) -> "EncoderParams":
-        def w(*shape):
-            return rng.uniform(-init_scale, init_scale, shape).astype(PARAM_DTYPE)
-
-        def b(*shape):
-            return np.zeros(shape, dtype=PARAM_DTYPE)
-
-        emb = w(vocab_size, cfg.emb_dim)
-        emb[PAD_ID] = 0.0
-        params = cls(
-            src_embeddings=emb,
-            conv1_w=w(cfg.filters1, cfg.conv1_width),
-            conv1_b=b(cfg.filters1),
-            conv3_w=w(cfg.filters3, CONV_WINDOW * cfg.filters1),
-            conv3_b=b(cfg.filters3),
-            proj_w=w(cfg.repr_dim, cfg.filters3),
-            proj_b=b(cfg.repr_dim),
-        )
-        if cfg.fusion == "gating":
-            params.gate_local_w = w(2 * LOCAL_PAIR * cfg.input_dim)
-            params.gate_local_b = b(1)
-            params.gate_global_w = w(cfg.filters3)
-        if cfg.arch == "attention":
-            layers = []
-            in_dim = cfg.history * cfg.tgt_emb_dim
-            for _ in range(cfg.attn_depth):
-                layers.append((w(cfg.attn_dim, in_dim), b(cfg.attn_dim)))
-                in_dim = cfg.attn_dim
-            params.attn_layers = tuple(layers)
-        return params
-
     def tensors(self) -> dict[str, np.ndarray]:
-        """Named learnable tensors in a fixed, serialization-stable order."""
-        out = {
-            "src_embeddings": self.src_embeddings,
-            "conv1_w": self.conv1_w,
-            "conv1_b": self.conv1_b,
-            "conv3_w": self.conv3_w,
-            "conv3_b": self.conv3_b,
-            "proj_w": self.proj_w,
-            "proj_b": self.proj_b,
-        }
-        if self.gate_local_w is not None:
-            out["gate_local_w"] = self.gate_local_w
-            out["gate_local_b"] = self.gate_local_b
-            out["gate_global_w"] = self.gate_global_w
-        for i, (w, b) in enumerate(self.attn_layers):
-            out[f"attn_{i}_w"] = w
-            out[f"attn_{i}_b"] = b
-        return out
-
-    def astype(self, dtype) -> "EncoderParams":
-        return replace(
-            self,
-            **{
-                name: arr.astype(dtype)
-                for name, arr in (
-                    ("src_embeddings", self.src_embeddings),
-                    ("conv1_w", self.conv1_w),
-                    ("conv1_b", self.conv1_b),
-                    ("conv3_w", self.conv3_w),
-                    ("conv3_b", self.conv3_b),
-                    ("proj_w", self.proj_w),
-                    ("proj_b", self.proj_b),
-                )
-            },
-            gate_local_w=None if self.gate_local_w is None
-            else self.gate_local_w.astype(dtype),
-            gate_local_b=None if self.gate_local_b is None
-            else self.gate_local_b.astype(dtype),
-            gate_global_w=None if self.gate_global_w is None
-            else self.gate_global_w.astype(dtype),
-            attn_layers=tuple(
-                (w.astype(dtype), b.astype(dtype)) for w, b in self.attn_layers
-            ),
-        )
+        return named_tensors(self)
 
 
-@dataclass
-class ForwardTrace:
-    """Intermediate activations of one encode call.
+def named_tensors(params) -> dict[str, np.ndarray]:
+    """Flatten a parameter dataclass into named tensors, in field order.
 
-    Holds everything backpropagation or replay needs: the layer activations,
-    the local gate values or pooling choices, and the global gate weights or
-    top-k indices. ``replay`` recomputes the pipeline from the stored inputs
-    and must reproduce ``representation`` exactly.
+    A nested parameter dataclass contributes its own tensors, a
+    ``<stack>_layers`` field of (weight, bias) pairs contributes
+    ``<stack>_<i>_w`` and ``<stack>_<i>_b``, and a None field (a tensor the
+    config leaves out) contributes nothing.
     """
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name.endswith("_layers"):
+            stack = f.name[: -len("_layers")]
+            for i, (w, b) in enumerate(value):
+                out[f"{stack}_{i}_w"], out[f"{stack}_{i}_b"] = w, b
+        elif is_dataclass(value):
+            out.update(named_tensors(value))
+        elif value is not None:
+            out[f.name] = value
+    return out
 
-    layer0: np.ndarray
-    layer1: np.ndarray
-    layer2: np.ndarray
-    layer3: np.ndarray
-    layer4: np.ndarray
-    representation: np.ndarray
-    attention_signal: np.ndarray | None = None
-    local_gate: np.ndarray | None = None
-    local_take_first: np.ndarray | None = None
-    global_gate: np.ndarray | None = None
-    global_top_indices: np.ndarray | None = None
-
-    def replay(self, cfg: EncoderConfig, params: "EncoderParams") -> np.ndarray:
-        p = params.astype(np.float64)
-        z1 = convolve(self.layer0, p.conv1_w, p.conv1_b, prefix=self.attention_signal)
-        if cfg.fusion == "gating":
-            z2 = (self.local_gate[:, None] * z1[0::2]
-                  + (1.0 - self.local_gate)[:, None] * z1[1::2])
-        else:
-            z2 = np.where(self.local_take_first, z1[0::2], z1[1::2])
-        z3 = convolve(z2, p.conv3_w, p.conv3_b)
-        if cfg.fusion == "gating":
-            z4 = self.global_gate @ z3
-        else:
-            z4 = np.take_along_axis(z3, self.global_top_indices, axis=0).mean(axis=0)
-        return project_final(z4, p.proj_w, p.proj_b)
-
-
-# ---------------------------------------------------------------------------
-# Single-sample operations
-# ---------------------------------------------------------------------------
-
-def embed_source(
-    source_ids: Sequence[int],
-    affiliated: frozenset[int] | set[int],
-    head_positions: frozenset[int] | set[int],
-    cfg: EncoderConfig,
-    params: EncoderParams,
-) -> np.ndarray:
-    """Build the input matrix: one row per padded source position.
-
-    Rows are word embeddings with tag columns appended under the tag archs.
-    PAD rows are all-zero, tag columns included; they are constants, not
-    trainable parameters.
-    """
-    if len(source_ids) != cfg.maxlen:
-        raise ConfigError(
-            f"expected {cfg.maxlen} padded source ids, got {len(source_ids)}"
-        )
-    if head_positions and cfg.arch != "tag_dep":
-        raise ConfigError(
-            f"head positions supplied but arch {cfg.arch!r} has no head tag column"
-        )
-    bad = [i for i in set(affiliated) | set(head_positions)
-           if not 0 <= i < cfg.maxlen]
-    if bad:
-        raise ConfigError(f"guide positions {sorted(bad)} outside [0, {cfg.maxlen})")
-    ids = np.asarray(source_ids, dtype=np.int64)
-    rows = params.src_embeddings.astype(np.float64)[ids]
-    if cfg.tag_bits:
-        cols = [rows]
-        aff_col = np.zeros((cfg.maxlen, 1))
-        aff_col[sorted(affiliated)] = 1.0
-        cols.append(aff_col)
-        if cfg.arch == "tag_dep":
-            head_col = np.zeros((cfg.maxlen, 1))
-            head_col[sorted(head_positions)] = 1.0
-            cols.append(head_col)
-        rows = np.concatenate(cols, axis=1)
-    rows[ids == PAD_ID] = 0.0
-    return rows
-
-
-def convolve(
-    inputs: np.ndarray,
-    filters: np.ndarray,
-    biases: np.ndarray,
-    prefix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Narrow width-3 sigmoid convolution over location-indexed vectors.
-
-    Location i sees [prefix; v_i; v_{i+1}; v_{i+2}]; the output has two fewer
-    locations than the input and one column per filter, all values in (0, 1).
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    n_locs, width = inputs.shape
-    if n_locs < CONV_WINDOW:
-        raise ConfigError(f"convolution needs at least {CONV_WINDOW} locations, got {n_locs}")
-    p = 0 if prefix is None else len(prefix)
-    if filters.shape[1] != p + CONV_WINDOW * width:
-        raise ConfigError(
-            f"filter width {filters.shape[1]} does not match prefix {p} + "
-            f"{CONV_WINDOW} x input width {width}"
-        )
-    out_locs = n_locs - (CONV_WINDOW - 1)
-    windows = np.concatenate(
-        [inputs[t : t + out_locs] for t in range(CONV_WINDOW)], axis=1
-    )
-    pre = windows @ filters[:, p:].T + biases
-    if prefix is not None:
-        pre = pre + filters[:, :p] @ np.asarray(prefix, dtype=np.float64)
-    return sigmoid(pre)
-
-
-def _local_gate_values(layer0, gate_w, gate_b, n_pairs):
-    # Gate input for pair j is the span of input rows feeding both windows:
-    # rows 2j .. 2j+3.
-    span = 2 * LOCAL_PAIR
-    gate_in = np.concatenate(
-        [layer0[t : t + 2 * n_pairs - 1 : 2] for t in range(span)], axis=1
-    )
-    return sigmoid(gate_in @ np.asarray(gate_w, dtype=np.float64)
-                   + np.asarray(gate_b, dtype=np.float64)), gate_in
-
-
-def local_gate(
-    layer1: np.ndarray,
-    layer0: np.ndarray,
-    gate_w: np.ndarray,
-    gate_b: np.ndarray,
-) -> np.ndarray:
-    """Blend non-overlapping window pairs with a content-conditioned weight.
-
-    A logistic regression over the four input rows spanning the pair produces
-    one scalar per pair, weighting the pair's first window against its second.
-    """
-    layer1 = np.asarray(layer1, dtype=np.float64)
-    n_locs = layer1.shape[0]
-    if n_locs % LOCAL_PAIR != 0:
-        raise ConfigError(f"local fusion needs an even window count, got {n_locs}")
-    n_pairs = n_locs // LOCAL_PAIR
-    alpha, _ = _local_gate_values(
-        np.asarray(layer0, dtype=np.float64), gate_w, gate_b, n_pairs
-    )
-    return alpha[:, None] * layer1[0::2] + (1.0 - alpha)[:, None] * layer1[1::2]
-
-
-def global_gate_weights(layer3: np.ndarray, gate_w: np.ndarray) -> np.ndarray:
-    """Normalized location weights: a softmax over per-location scores."""
-    scores = np.asarray(layer3, dtype=np.float64) @ np.asarray(gate_w, dtype=np.float64)
-    return softmax(scores, axis=0)
-
-
-def global_gate(layer3: np.ndarray, gate_w: np.ndarray) -> np.ndarray:
-    """Fuse all locations into one vector by their softmax gate weights."""
-    weights = global_gate_weights(layer3, gate_w)
-    return weights @ np.asarray(layer3, dtype=np.float64)
-
-
-def pool_local(layer1: np.ndarray) -> np.ndarray:
-    """Elementwise max over non-overlapping window pairs (ablation mode)."""
-    layer1 = np.asarray(layer1, dtype=np.float64)
-    if layer1.shape[0] % LOCAL_PAIR != 0:
-        raise ConfigError(
-            f"local pooling needs an even window count, got {layer1.shape[0]}"
-        )
-    return np.maximum(layer1[0::2], layer1[1::2])
-
-
-def pool_global(layer3: np.ndarray, pool_k: int) -> np.ndarray:
-    """Mean of the top pool_k values per feature map (ablation mode)."""
-    layer3 = np.asarray(layer3, dtype=np.float64)
-    n_locs = layer3.shape[0]
-    if not 1 <= pool_k <= n_locs:
-        raise ConfigError(f"pool_k {pool_k} out of range [1, {n_locs}]")
-    return _global_top_indices(layer3, pool_k)[1]
-
-
-def _global_top_indices(layer3, pool_k):
-    # Stable argsort on negated values: ties resolve to the lowest location.
-    idx = np.argsort(-layer3, axis=0, kind="stable")[:pool_k]
-    vals = np.take_along_axis(layer3, idx, axis=0)
-    return idx, vals.mean(axis=0)
-
-
-def project_final(layer4: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray) -> np.ndarray:
-    """Affine + sigmoid map from the fused vector to the final representation."""
-    return sigmoid(
-        np.asarray(proj_w, dtype=np.float64) @ np.asarray(layer4, dtype=np.float64)
-        + np.asarray(proj_b, dtype=np.float64)
-    )
-
-
-def compute_attention_signal(
-    history: Sequence[int],
-    tgt_embeddings: np.ndarray,
-    attn_layers: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Transform the concatenated history embeddings into the guide signal."""
-    if not attn_layers:
-        raise ConfigError("attention arch has no attention layers")
-    x = tgt_embeddings.astype(np.float64)[np.asarray(history, dtype=np.int64)].ravel()
-    if attn_layers[0][0].shape[1] != x.shape[0]:
-        raise ConfigError(
-            f"history length {len(history)} does not match attention input width "
-            f"{attn_layers[0][0].shape[1]}"
-        )
-    for w, b in attn_layers:
-        x = sigmoid(w.astype(np.float64) @ x + b.astype(np.float64))
-    return x
-
-
-def encode(
-    source_ids: Sequence[int],
-    affiliated: frozenset[int] | set[int] | None,
-    head_positions: frozenset[int] | set[int] | None,
-    history: Sequence[int] | None,
-    cfg: EncoderConfig,
-    params: EncoderParams,
-    tgt_embeddings: np.ndarray | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the full pipeline for one sample and capture all intermediates.
-
-    ``affiliated`` must be present (possibly empty) for the tag archs;
-    ``history`` and ``tgt_embeddings`` are required by the attention arch.
-    The generic arch ignores every guide input.
-    """
-    if cfg.arch in ("tag", "tag_dep") and affiliated is None:
-        raise ConfigError(f"arch {cfg.arch!r} requires affiliated source positions")
-    if cfg.arch == "attention":
-        if history is None:
-            raise ConfigError("arch 'attention' requires a target history")
-        if tgt_embeddings is None:
-            raise ConfigError("arch 'attention' requires the target embedding table")
-        if len(history) != cfg.history:
-            raise ConfigError(
-                f"history length {len(history)} != configured {cfg.history}"
-            )
-    affiliated = affiliated or frozenset()
-    head_positions = head_positions or frozenset()
-    if cfg.arch not in ("tag", "tag_dep"):
-        affiliated = frozenset()
-
-    p = params.astype(np.float64)
-    layer0 = embed_source(source_ids, affiliated, head_positions, cfg, p)
-    signal = None
-    if cfg.arch == "attention":
-        signal = compute_attention_signal(history, tgt_embeddings, p.attn_layers)
-    layer1 = convolve(layer0, p.conv1_w, p.conv1_b, prefix=signal)
-
-    alpha = take = None
-    if cfg.fusion == "gating":
-        alpha, _ = _local_gate_values(
-            layer0, p.gate_local_w, p.gate_local_b, cfg.fused_locs
-        )
-        layer2 = alpha[:, None] * layer1[0::2] + (1.0 - alpha)[:, None] * layer1[1::2]
-    else:
-        take = layer1[0::2] >= layer1[1::2]
-        layer2 = np.where(take, layer1[0::2], layer1[1::2])
-
-    layer3 = convolve(layer2, p.conv3_w, p.conv3_b)
-
-    omega = top_idx = None
-    if cfg.fusion == "gating":
-        omega = global_gate_weights(layer3, p.gate_global_w)
-        layer4 = omega @ layer3
-    else:
-        top_idx, layer4 = _global_top_indices(layer3, cfg.pool_k)
-
-    phi = project_final(layer4, p.proj_w, p.proj_b)
-    trace = ForwardTrace(
-        layer0=layer0, layer1=layer1, layer2=layer2, layer3=layer3, layer4=layer4,
-        representation=phi, attention_signal=signal, local_gate=alpha,
-        local_take_first=take, global_gate=omega, global_top_indices=top_idx,
-    )
-    return phi, trace
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels
-# ---------------------------------------------------------------------------
 
 @dataclass
 class BatchCache:

@@ -13,18 +13,85 @@ predictor input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import encoder as enc
 from .corpus import TrainingSample
-from .encoder import EncoderConfig, EncoderParams, INIT_SCALE, PARAM_DTYPE, sigmoid
+from .encoder import (
+    CONV_WINDOW,
+    INIT_SCALE,
+    LOCAL_PAIR,
+    PARAM_DTYPE,
+    EncoderConfig,
+    EncoderParams,
+    named_tensors,
+    sigmoid,
+)
 from .errors import ConfigError
 from .vocab import PAD_ID
 
 DEFAULT_HIDDEN_DIMS = (200,)
+
+# Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
+# PAD row zeroed (embedding tables).
+UNIFORM, ZEROS, EMBEDDING = "uniform", "zeros", "embedding"
+
+
+class TensorSpec(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    init: str
+
+
+def param_spec(
+    cfg: EncoderConfig,
+    src_vocab_size: int,
+    tgt_vocab_size: int,
+    hidden_dims: Sequence[int],
+) -> list[TensorSpec]:
+    """Every learnable tensor of the joint model: name, shape and init kind.
+
+    This is the one declaration of the tensor layout. Its order is the model
+    file order and the order of the seeded initialization draws, so changing
+    it changes model files.
+    """
+
+    def layer(name, out_dim, in_dim):
+        return [TensorSpec(f"{name}_w", (out_dim, in_dim), UNIFORM),
+                TensorSpec(f"{name}_b", (out_dim,), ZEROS)]
+
+    spec = [TensorSpec("src_embeddings", (src_vocab_size, cfg.emb_dim), EMBEDDING)]
+    spec += layer("conv1", cfg.filters1, cfg.conv1_width)
+    spec += layer("conv3", cfg.filters3, CONV_WINDOW * cfg.filters1)
+    spec += layer("proj", cfg.repr_dim, cfg.filters3)
+    if cfg.fusion == "gating":
+        spec += [TensorSpec("gate_local_w", (2 * LOCAL_PAIR * cfg.input_dim,), UNIFORM),
+                 TensorSpec("gate_local_b", (1,), ZEROS),
+                 TensorSpec("gate_global_w", (cfg.filters3,), UNIFORM)]
+    if cfg.arch == "attention":
+        in_dim = cfg.history * cfg.tgt_emb_dim
+        for i in range(cfg.attn_depth):
+            spec += layer(f"attn_{i}", cfg.attn_dim, in_dim)
+            in_dim = cfg.attn_dim
+    spec.append(TensorSpec("tgt_embeddings", (tgt_vocab_size, cfg.tgt_emb_dim),
+                           EMBEDDING))
+    in_dim = cfg.repr_dim + cfg.history * cfg.tgt_emb_dim
+    for i, dim in enumerate(hidden_dims):
+        spec += layer(f"hidden_{i}", dim, in_dim)
+        in_dim = dim
+    spec += layer("softmax", tgt_vocab_size, in_dim)
+    return spec
+
+
+def _layer_stack(tensors: dict[str, np.ndarray], stack: str):
+    pairs = []
+    while f"{stack}_{len(pairs)}_w" in tensors:
+        i = len(pairs)
+        pairs.append((tensors[f"{stack}_{i}_w"], tensors[f"{stack}_{i}_b"]))
+    return tuple(pairs)
 
 
 @dataclass
@@ -33,7 +100,8 @@ class JointModelParams:
 
     ``hidden_layers`` holds (weight, bias) pairs for the sigmoid stack between
     the concatenated input and the softmax; ``tgt_embeddings`` is shared with
-    the attention guide signal.
+    the attention guide signal. ``tensors()`` lists every tensor by its
+    ``param_spec`` name and in its order; ``from_tensors`` is the inverse.
     """
 
     encoder: EncoderParams
@@ -60,24 +128,32 @@ class JointModelParams:
         if not hidden_dims or any(d < 1 for d in hidden_dims):
             raise ConfigError("hidden_dims must be a non-empty tuple of positive ints")
 
-        def w(*shape):
-            return rng.uniform(-init_scale, init_scale, shape).astype(PARAM_DTYPE)
+        def draw(spec: TensorSpec) -> np.ndarray:
+            if spec.init == ZEROS:
+                return np.zeros(spec.shape, dtype=PARAM_DTYPE)
+            t = rng.uniform(-init_scale, init_scale, spec.shape).astype(PARAM_DTYPE)
+            if spec.init == EMBEDDING:
+                t[PAD_ID] = 0.0
+            return t
 
-        encoder_params = EncoderParams.initialize(cfg, src_vocab_size, rng,
-                                                  init_scale=init_scale)
-        tgt_emb = w(tgt_vocab_size, cfg.tgt_emb_dim)
-        tgt_emb[PAD_ID] = 0.0
-        layers = []
-        in_dim = cfg.repr_dim + cfg.history * cfg.tgt_emb_dim
-        for dim in hidden_dims:
-            layers.append((w(dim, in_dim), np.zeros(dim, dtype=PARAM_DTYPE)))
-            in_dim = dim
+        spec = param_spec(cfg, src_vocab_size, tgt_vocab_size, hidden_dims)
+        return cls.from_tensors({s.name: draw(s) for s in spec})
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "JointModelParams":
+        """Build the parameters from tensors named as in ``param_spec``."""
+        encoder_fields = [f.name for f in fields(EncoderParams)
+                          if f.name != "attn_layers"]
+        encoder = EncoderParams(
+            **{name: tensors.get(name) for name in encoder_fields},
+            attn_layers=_layer_stack(tensors, "attn"),
+        )
         return cls(
-            encoder=encoder_params,
-            tgt_embeddings=tgt_emb,
-            hidden_layers=tuple(layers),
-            softmax_w=w(tgt_vocab_size, in_dim),
-            softmax_b=np.zeros(tgt_vocab_size, dtype=PARAM_DTYPE),
+            encoder=encoder,
+            tgt_embeddings=tensors["tgt_embeddings"],
+            hidden_layers=_layer_stack(tensors, "hidden"),
+            softmax_w=tensors["softmax_w"],
+            softmax_b=tensors["softmax_b"],
         )
 
     @property
@@ -89,26 +165,11 @@ class JointModelParams:
         return self.softmax_w.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = self.encoder.tensors()
-        out["tgt_embeddings"] = self.tgt_embeddings
-        for i, (w, b) in enumerate(self.hidden_layers):
-            out[f"hidden_{i}_w"] = w
-            out[f"hidden_{i}_b"] = b
-        out["softmax_w"] = self.softmax_w
-        out["softmax_b"] = self.softmax_b
-        return out
+        return named_tensors(self)
 
     def astype(self, dtype) -> "JointModelParams":
-        return replace(
-            self,
-            encoder=self.encoder.astype(dtype),
-            tgt_embeddings=self.tgt_embeddings.astype(dtype),
-            hidden_layers=tuple(
-                (w.astype(dtype), b.astype(dtype)) for w, b in self.hidden_layers
-            ),
-            softmax_w=self.softmax_w.astype(dtype),
-            softmax_b=self.softmax_b.astype(dtype),
-        )
+        return self.from_tensors(
+            {name: t.astype(dtype) for name, t in self.tensors().items()})
 
 
 @dataclass
@@ -143,6 +204,13 @@ class SampleBatch:
                 raise ConfigError(
                     f"sample {i} has history length {len(s.history)}, "
                     f"expected {cfg.history}"
+                )
+            bad = {p for p in (*s.affiliated, *s.head_positions)
+                   if not 0 <= p < cfg.maxlen}
+            if bad:
+                raise ConfigError(
+                    f"sample {i} has guide positions {sorted(bad)} "
+                    f"outside [0, {cfg.maxlen})"
                 )
             ids[i] = s.source_ids
             if s.affiliated:
@@ -235,8 +303,11 @@ def forward_batch(
     p: JointModelParams,
     dtype=np.float64,
 ) -> tuple[np.ndarray, "enc.BatchCache", PredictorCache]:
-    """Full model forward: encoder then predictor, sharing one cast of ``p``."""
-    pc = p.astype(dtype)
+    """Full model forward: encoder then predictor, sharing one cast of ``p``.
+
+    ``p`` is used as it is when it is already in ``dtype``.
+    """
+    pc = p if p.softmax_w.dtype == dtype else p.astype(dtype)
     hist = batch.hist if cfg.arch == "attention" else None
     phi, enc_cache = enc.forward_batch(
         batch.ids, batch.aff_mask, batch.head_mask, hist,
@@ -264,22 +335,6 @@ def log_probs_batch(
             np.arange(len(chunk)), batch.targets
         ]
     return out
-
-
-def predict_log_probs(
-    sample: TrainingSample, cfg: EncoderConfig, p: JointModelParams
-) -> np.ndarray:
-    """Full next-word log-distribution for one sample."""
-    batch = SampleBatch.from_samples([sample], cfg)
-    log_probs, _, _ = forward_batch(batch, cfg, p)
-    return log_probs[0]
-
-
-def sample_log_prob(
-    sample: TrainingSample, cfg: EncoderConfig, p: JointModelParams
-) -> float:
-    """Log-probability of one sample's target word."""
-    return float(predict_log_probs(sample, cfg, p)[sample.target])
 
 
 def perplexity(

@@ -17,6 +17,7 @@ with sorted keys so identical models produce identical files.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -25,9 +26,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .encoder import CONV_WINDOW, LOCAL_PAIR, EncoderConfig, EncoderParams
+from .encoder import EncoderConfig
 from .errors import ConfigError, CorpusError, ModelFormatError
-from .jointlm import JointModelParams
+from .jointlm import JointModelParams, param_spec
 from .training import TrainConfig
 from .vocab import Vocabulary
 
@@ -71,7 +72,12 @@ def _header_json(artifact: ModelArtifact) -> bytes:
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
-    """Write the artifact, fsyncing before return so success means durable."""
+    """Write the artifact, fsyncing before return so success means durable.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one step: a save that fails part-way leaves any
+    previous file at ``path`` as it was.
+    """
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -89,10 +95,23 @@ def save_model(artifact: ModelArtifact, path) -> None:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(tensor, dtype=TENSOR_DTYPE).tobytes()
     blob += hashlib.sha256(blob).digest()[:CHECKSUM_BYTES]
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    dir_fd = os.open(directory or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 class _Reader:
@@ -110,68 +129,6 @@ class _Reader:
     def unpack(self, fmt: str):
         (value,) = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return value
-
-
-def _expected_shapes(cfg: EncoderConfig, src_size: int, tgt_size: int,
-                     hidden_dims: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
-    shapes = {
-        "src_embeddings": (src_size, cfg.emb_dim),
-        "conv1_w": (cfg.filters1, cfg.conv1_width),
-        "conv1_b": (cfg.filters1,),
-        "conv3_w": (cfg.filters3, CONV_WINDOW * cfg.filters1),
-        "conv3_b": (cfg.filters3,),
-        "proj_w": (cfg.repr_dim, cfg.filters3),
-        "proj_b": (cfg.repr_dim,),
-    }
-    if cfg.fusion == "gating":
-        shapes["gate_local_w"] = (2 * LOCAL_PAIR * cfg.input_dim,)
-        shapes["gate_local_b"] = (1,)
-        shapes["gate_global_w"] = (cfg.filters3,)
-    if cfg.arch == "attention":
-        in_dim = cfg.history * cfg.tgt_emb_dim
-        for i in range(cfg.attn_depth):
-            shapes[f"attn_{i}_w"] = (cfg.attn_dim, in_dim)
-            shapes[f"attn_{i}_b"] = (cfg.attn_dim,)
-            in_dim = cfg.attn_dim
-    shapes["tgt_embeddings"] = (tgt_size, cfg.tgt_emb_dim)
-    in_dim = cfg.repr_dim + cfg.history * cfg.tgt_emb_dim
-    for i, dim in enumerate(hidden_dims):
-        shapes[f"hidden_{i}_w"] = (dim, in_dim)
-        shapes[f"hidden_{i}_b"] = (dim,)
-        in_dim = dim
-    shapes["softmax_w"] = (tgt_size, in_dim)
-    shapes["softmax_b"] = (tgt_size,)
-    return shapes
-
-
-def _assemble_params(cfg: EncoderConfig, tensors: dict[str, np.ndarray],
-                     hidden_dims: tuple[int, ...]) -> JointModelParams:
-    encoder = EncoderParams(
-        src_embeddings=tensors["src_embeddings"],
-        conv1_w=tensors["conv1_w"],
-        conv1_b=tensors["conv1_b"],
-        conv3_w=tensors["conv3_w"],
-        conv3_b=tensors["conv3_b"],
-        proj_w=tensors["proj_w"],
-        proj_b=tensors["proj_b"],
-        gate_local_w=tensors.get("gate_local_w"),
-        gate_local_b=tensors.get("gate_local_b"),
-        gate_global_w=tensors.get("gate_global_w"),
-        attn_layers=tuple(
-            (tensors[f"attn_{i}_w"], tensors[f"attn_{i}_b"])
-            for i in range(cfg.attn_depth if cfg.arch == "attention" else 0)
-        ),
-    )
-    return JointModelParams(
-        encoder=encoder,
-        tgt_embeddings=tensors["tgt_embeddings"],
-        hidden_layers=tuple(
-            (tensors[f"hidden_{i}_w"], tensors[f"hidden_{i}_b"])
-            for i in range(len(hidden_dims))
-        ),
-        softmax_w=tensors["softmax_w"],
-        softmax_b=tensors["softmax_b"],
-    )
 
 
 def load_model(path) -> ModelArtifact:
@@ -232,7 +189,8 @@ def load_model(path) -> ModelArtifact:
     if reader.pos != len(data) - CHECKSUM_BYTES:
         raise ModelFormatError("trailing bytes after tensor block")
 
-    expected = _expected_shapes(cfg, len(src_vocab), len(tgt_vocab), hidden_dims)
+    expected = {spec.name: spec.shape for spec in
+                param_spec(cfg, len(src_vocab), len(tgt_vocab), hidden_dims)}
     missing = sorted(expected.keys() - tensors.keys())
     if missing:
         raise ModelFormatError(f"missing tensor {missing[0]!r}")
@@ -250,7 +208,7 @@ def load_model(path) -> ModelArtifact:
         encoder_config=cfg,
         source_vocab=src_vocab,
         target_vocab=tgt_vocab,
-        params=_assemble_params(cfg, tensors, hidden_dims),
+        params=JointModelParams.from_tensors(tensors),
         train_config=train_cfg,
         emit_eos=emit_eos,
         provenance=provenance,

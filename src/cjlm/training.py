@@ -105,12 +105,6 @@ class EpochMetrics:
         }
 
 
-def _as_batch(batch, cfg: EncoderConfig) -> SampleBatch:
-    if isinstance(batch, SampleBatch):
-        return batch
-    return SampleBatch.from_samples(list(batch), cfg)
-
-
 def _loss_raw(batch: SampleBatch, cfg, params, dtype):
     # Returns a numpy scalar in the compute dtype; the finite-difference
     # oracle needs the longdouble value before any float64 rounding.
@@ -120,35 +114,30 @@ def _loss_raw(batch: SampleBatch, cfg, params, dtype):
 
 
 def minibatch_loss(
-    batch,
+    samples: Sequence[TrainingSample],
     cfg: EncoderConfig,
     params: JointModelParams,
     dtype=np.float64,
 ) -> float:
-    """Mean NLL of the gold targets over the batch."""
-    return float(_loss_raw(_as_batch(batch, cfg), cfg, params, dtype))
+    """Mean NLL of the gold targets over the samples."""
+    batch = SampleBatch.from_samples(samples, cfg)
+    return float(_loss_raw(batch, cfg, params, dtype))
 
 
 def backward(
-    batch,
+    batch: SampleBatch,
     cfg: EncoderConfig,
     params: JointModelParams,
     dtype=np.float64,
 ) -> tuple[GradientStore, float]:
-    """Exact gradients of ``minibatch_loss`` for every learnable tensor.
+    """Exact gradients of the batch's mean NLL for every learnable tensor.
 
     The target embedding gradient gathers the predictor-input path and, for
     the attention arch, the guide-signal path. PAD embedding rows stay at
     zero gradient: they are constants of the model.
     """
-    batch = _as_batch(batch, cfg)
-    pc = params.astype(dtype)
-    hist = batch.hist if cfg.arch == "attention" else None
-    phi, enc_cache = enc.forward_batch(
-        batch.ids, batch.aff_mask, batch.head_mask, hist,
-        cfg, pc.encoder, pc.tgt_embeddings, dtype=dtype,
-    )
-    log_probs, pred_cache = jm.predict_forward_batch(phi, batch.hist, pc, dtype=dtype)
+    pc = params.astype(dtype)  # one cast serves the forward and backward pass
+    log_probs, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc, dtype=dtype)
     n = len(batch)
     rows = np.arange(n)
     nll = float(-log_probs[rows, batch.targets].mean())

@@ -14,13 +14,8 @@ import pytest
 
 from cjlm.cli import cli
 from cjlm.corpus import TrainingSample
-from cjlm.encoder import (
-    ARCHS,
-    EncoderConfig,
-    EncoderParams,
-    encode,
-    global_gate_weights,
-)
+from cjlm.encoder import ARCHS, EncoderConfig, softmax
+from cjlm.encoder import forward_batch as encoder_forward_batch
 from cjlm.errors import ModelFormatError
 from cjlm.jointlm import (
     JointModelParams,
@@ -101,7 +96,7 @@ def test_criterion_2_normalization_suite():
     for _ in range(1000):
         layer3 = rng.normal(scale=2.0, size=(17, 6))
         gate_w = rng.normal(size=6)
-        omega = global_gate_weights(layer3, gate_w)
+        omega = softmax(layer3 @ gate_w, axis=0)
         gate_err = max(gate_err, abs(float(omega.sum()) - 1.0))
         gate_in_range &= bool(np.all((omega > 0.0) & (omega < 1.0)))
 
@@ -120,19 +115,21 @@ def test_criterion_3_shape_law():
     """With 40-position sources and width-3 windows the three feature-map
     layers have 38/19/17 locations and the representation is 100-dim."""
     cfg = EncoderConfig()  # reference defaults
-    params = EncoderParams.initialize(cfg, 30, np.random.default_rng(0))
-    ids = (PAD_ID,) * 20 + tuple(range(4, 24))
-    phi, trace = encode(ids, None, None, None, cfg, params)
-    locs = (trace.layer1.shape[0], trace.layer2.shape[0],
-            trace.layer3.shape[0])
-    ok = locs == (38, 19, 17) and phi.shape == (100,)
+    params = JointModelParams.initialize(
+        cfg, 30, 30, rng=np.random.default_rng(0)).astype(np.float64)
+    ids = np.array([(PAD_ID,) * 20 + tuple(range(4, 24))])
+    no_tags = np.zeros_like(ids, dtype=bool)
+    phi, cache = encoder_forward_batch(ids, no_tags, no_tags, None, cfg,
+                                       params.encoder, None)
+    locs = (cache.z1.shape[1], cache.z2.shape[1], cache.z3.shape[1])
+    ok = locs == (38, 19, 17) and phi.shape == (1, 100)
     record_criterion(
         3, "shape law",
         ok, f"layer locations {locs[0]}/{locs[1]}/{locs[2]} "
-            f"(expected 38/19/17), repr dim {phi.shape[0]} (expected 100)",
+            f"(expected 38/19/17), repr dim {phi.shape[1]} (expected 100)",
     )
     assert locs == (38, 19, 17)
-    assert phi.shape == (100,)
+    assert phi.shape == (1, 100)
 
 
 TOY_TRAIN = TrainConfig(learning_rate=0.8, minibatch=50, epochs=50, seed=5,

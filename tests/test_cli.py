@@ -1,7 +1,13 @@
 """Command-line interface: exit codes and end-to-end subcommand flows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cjlm
 from cjlm.cli import cli
 from cjlm.serialization import load_model
 
@@ -90,6 +96,39 @@ def test_train_tag_dep_needs_heads_flag(corpus_dir, tmp_path, capsys):
     del args[i:i + 2]
     assert cli(args) == 1
     assert "requires --heads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arch", ["tag", "attention"])
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path, arch):
+    # Large enough that the convolution and softmax products cross
+    # OpenBLAS's multithreading threshold, so two threads really split them.
+    pairs = chain_pairs(150, seed=53)
+    with open(tmp_path / "src", "w") as fs, open(tmp_path / "tgt", "w") as ft, \
+            open(tmp_path / "aln", "w") as fa:
+        for p in pairs:
+            fs.write(" ".join(p.source_tokens) + "\n")
+            ft.write(" ".join(p.target_tokens) + "\n")
+            fa.write(" ".join(f"{i}-{j}" for i, j in sorted(p.alignment)) + "\n")
+    src_root = str(Path(cjlm.__file__).resolve().parents[1])
+
+    def train_with(threads):
+        out = tmp_path / f"{threads}.cjlm"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src_root, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from cjlm.cli import main; main()",
+             "train", "--source", tmp_path / "src", "--target", tmp_path / "tgt",
+             "--alignment", tmp_path / "aln", "--output", out, "--arch", arch,
+             "--emb-dim", "32", "--tgt-emb-dim", "32", "--attn-dim", "32",
+             "--filters", "48", "--repr-dim", "32", "--maxlen", "20",
+             "--hidden", "64", "--minibatch", "128", "--epochs", "2",
+             "--learning-rate", "0.3", "--init-scale", "0.5", "--seed", "5"],
+            env=env, check=True, capture_output=True,
+        )
+        return out.read_bytes()
+
+    assert train_with(1) == train_with(2)
 
 
 def test_train_determinism_byte_identical(corpus_dir, tmp_path):

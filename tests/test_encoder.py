@@ -7,18 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cjlm.encoder import (
     ARCHS,
     EncoderConfig,
-    EncoderParams,
-    compute_attention_signal,
-    convolve,
-    embed_source,
-    encode,
     forward_batch,
-    global_gate,
-    global_gate_weights,
-    local_gate,
-    pool_global,
-    pool_local,
-    project_final,
     sigmoid,
     softmax,
 )
@@ -38,9 +27,29 @@ def small_cfg(arch="generic", fusion="gating", maxlen=10, **kw):
     return EncoderConfig(**base)
 
 
-def make_params(cfg, vocab=12, seed=0):
+def make_joint(cfg, vocab=12, seed=0):
     rng = np.random.default_rng(seed)
-    return EncoderParams.initialize(cfg, vocab, rng, init_scale=0.5)
+    return JointModelParams.initialize(cfg, vocab, vocab, (6,), rng,
+                                       init_scale=0.5)
+
+
+def make_params(cfg, vocab=12, seed=0):
+    return make_joint(cfg, vocab, seed).encoder
+
+
+def encode_one(cfg, joint, ids, affiliated=(), heads=(), history=(2, 2, 2)):
+    """``forward_batch`` on a batch of one sample: the phi row and the cache."""
+    sample = TrainingSample(tuple(ids), frozenset(affiliated),
+                            frozenset(heads), tuple(history), 4)
+    batch = SampleBatch.from_samples([sample], cfg)
+    p = joint.astype(np.float64)
+    hist = batch.hist if cfg.arch == "attention" else None
+    phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask, hist,
+                               cfg, p.encoder, p.tgt_embeddings)
+    return phi[0], cache
+
+
+IDS = (PAD_ID, PAD_ID, 4, 5, 6, 7, 8, 9, 10, 11)
 
 
 # --- scalar building blocks ------------------------------------------------
@@ -159,131 +168,157 @@ def test_pooling_fusion_has_no_gate_tensors():
     assert not any("gate" in n for n in params.tensors())
 
 
-# --- layer operations ------------------------------------------------------
+# --- layer operations, read from the forward_batch cache ---------------------
 
 def test_embed_source_tags_and_pad():
     cfg = small_cfg(arch="tag_dep", maxlen=10)
-    params = make_params(cfg)
+    joint = make_joint(cfg)
     ids = (PAD_ID,) * 7 + (4, 5, 6)
-    rows = embed_source(ids, {8}, {7}, cfg, params)
+    _, cache = encode_one(cfg, joint, ids, {8}, {7})
+    rows = cache.layer0[0]
     assert rows.shape == (10, cfg.emb_dim + 2)
     assert np.all(rows[:7] == 0.0)  # PAD rows stay zero, tag columns included
     assert rows[8, -2] == 1.0 and rows[9, -2] == 0.0
     assert rows[7, -1] == 1.0 and rows[8, -1] == 0.0
+    assert np.array_equal(rows[7:, :-2], joint.encoder.src_embeddings[[4, 5, 6]])
 
 
 def test_embed_source_rejects_bad_positions():
-    cfg = small_cfg(arch="tag")
-    params = make_params(cfg)
-    with pytest.raises(ConfigError, match="outside"):
-        embed_source((4,) * 10, {11}, set(), cfg, params)
-    with pytest.raises(ConfigError, match="no head tag column"):
-        embed_source((4,) * 10, {1}, {2}, cfg, params)
+    cfg = small_cfg(arch="tag_dep")
+    for affiliated, heads in (({11}, set()), ({10}, set()), ({-1}, set()),
+                              ({1}, {10})):
+        sample = TrainingSample((4,) * 10, frozenset(affiliated),
+                                frozenset(heads), (2, 2, 2), 4)
+        with pytest.raises(ConfigError, match=r"outside \[0, 10\)"):
+            SampleBatch.from_samples([sample], cfg)
 
 
 def test_embed_source_length_check():
     cfg = small_cfg()
+    sample = TrainingSample((4,) * 9, frozenset(), frozenset(), (2, 2, 2), 4)
     with pytest.raises(ConfigError, match="expected 10"):
-        embed_source((4,) * 9, set(), set(), cfg, make_params(cfg))
+        SampleBatch.from_samples([sample], cfg)
 
 
 def test_convolve_hand_value():
-    # One filter summing the middle row: location t yields sigmoid(row t+1).
-    inputs = np.array([[0.0], [1.0], [0.0], [2.0]])
-    filters = np.array([[0.0, 1.0, 0.0]])
-    out = convolve(inputs, filters, np.zeros(1))
-    assert out.shape == (2, 1)
-    assert np.isclose(out[0, 0], sig(1.0), atol=1e-15)
-    assert np.isclose(out[1, 0], sig(0.0), atol=1e-15)
+    # One-dim embeddings equal to id - 4 and one filter reading the middle
+    # row of each window: location t yields sigmoid(embedding at t + 1).
+    cfg = small_cfg(emb_dim=1, filters1=1)
+    joint = make_joint(cfg)
+    joint.encoder.src_embeddings[:, 0] = np.arange(12) - 4.0
+    joint.encoder.src_embeddings[PAD_ID] = 0.0
+    joint.encoder.conv1_w[...] = [[0.0, 1.0, 0.0]]
+    _, cache = encode_one(cfg, joint, IDS)
+    assert cache.z1.shape == (1, cfg.conv_locs1, 1)
+    for t in range(cfg.conv_locs1):
+        row = IDS[t + 1]
+        expected = sig(row - 4.0) if row != PAD_ID else 0.5
+        assert np.isclose(cache.z1[0, t, 0], expected, atol=1e-15), t
 
 
 def test_convolve_prefix_shifts_every_location():
-    inputs = np.zeros((5, 2))
-    filters = np.ones((1, 1 + 6))
-    plain = convolve(inputs, np.ones((1, 6)), np.zeros(1))
-    prefixed = convolve(inputs, filters, np.zeros(1), prefix=np.array([2.0]))
-    assert np.allclose(prefixed, sig(2.0), atol=1e-15)
-    assert np.allclose(plain, 0.5, atol=1e-15)
-
-
-def test_convolve_errors():
-    with pytest.raises(ConfigError, match="at least 3"):
-        convolve(np.zeros((2, 1)), np.zeros((1, 3)), np.zeros(1))
-    with pytest.raises(ConfigError, match="does not match"):
-        convolve(np.zeros((4, 2)), np.zeros((1, 5)), np.zeros(1))
+    cfg = small_cfg(arch="attention")
+    joint = make_joint(cfg)
+    # Word columns zeroed: every window sees only the prefix.
+    joint.encoder.conv1_w[...] = 0.0
+    _, plain = encode_one(cfg, joint, IDS)
+    assert np.allclose(plain.z1, 0.5, atol=1e-15)
+    joint.encoder.conv1_w[:, : cfg.prefix_dim] = 1.0
+    _, cache = encode_one(cfg, joint, IDS)
+    shift = sig(float(cache.signal_acts[-1].sum()))
+    assert np.allclose(cache.z1, shift, atol=1e-15)
 
 
 def test_local_gate_is_convex_blend():
-    layer1 = np.array([[0.0, 1.0], [1.0, 0.0], [0.2, 0.2], [0.8, 0.8]])
-    layer0 = np.zeros((6, 3))
-    gate_w = np.zeros(12)
-    out = local_gate(layer1, layer0, gate_w, np.array(0.0))
+    cfg = small_cfg(arch="tag")
+    joint = make_joint(cfg, seed=2)
+    _, cache = encode_one(cfg, joint, IDS, {3, 4})
+    z1e, z1o = cache.z1[:, 0::2], cache.z1[:, 1::2]
+    alpha = cache.alpha[..., None]
+    assert np.all((cache.alpha > 0) & (cache.alpha < 1))
+    assert np.allclose(cache.z2, alpha * z1e + (1 - alpha) * z1o, atol=1e-15)
+    assert np.all(cache.z2 >= np.minimum(z1e, z1o) - 1e-15)
+    assert np.all(cache.z2 <= np.maximum(z1e, z1o) + 1e-15)
     # Zero gate input gives alpha exactly one half.
-    assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-    out_hi = local_gate(layer1, layer0, gate_w, np.array(40.0))
-    assert np.allclose(out_hi, layer1[0::2], atol=1e-10)
-
-
-def test_local_gate_rejects_odd_count():
-    with pytest.raises(ConfigError, match="even"):
-        local_gate(np.zeros((3, 2)), np.zeros((5, 1)), np.zeros(4),
-                   np.array(0.0))
+    joint.encoder.gate_local_w[...] = 0.0
+    _, half = encode_one(cfg, joint, IDS, {3, 4})
+    assert np.all(half.alpha == 0.5)
+    assert np.allclose(half.z2, (half.z1[:, 0::2] + half.z1[:, 1::2]) / 2,
+                       atol=1e-15)
+    joint.encoder.gate_local_b[...] = 40.0
+    _, high = encode_one(cfg, joint, IDS, {3, 4})
+    assert np.allclose(high.z2, high.z1[:, 0::2], atol=1e-10)
 
 
 def test_pool_local_elementwise_max():
-    layer1 = np.array([[0.1, 0.9], [0.4, 0.2], [0.5, 0.5], [0.6, 0.1]])
-    assert np.array_equal(pool_local(layer1),
-                          [[0.4, 0.9], [0.6, 0.5]])
+    cfg = small_cfg(fusion="pooling")
+    _, cache = encode_one(cfg, make_joint(cfg, seed=3), IDS)
+    assert cache.z2.shape == (1, cfg.fused_locs, cfg.filters1)
+    assert np.array_equal(cache.z2,
+                          np.maximum(cache.z1[:, 0::2], cache.z1[:, 1::2]))
 
 
 def test_global_gate_weights_normalize():
-    layer3 = np.random.default_rng(0).normal(size=(6, 4))
-    gate_w = np.random.default_rng(1).normal(size=4)
-    omega = global_gate_weights(layer3, gate_w)
-    assert np.isclose(omega.sum(), 1.0, atol=1e-12)
+    cfg = small_cfg(maxlen=16)
+    joint = make_joint(cfg, seed=4)
+    joint.encoder.gate_global_w[...] = np.random.default_rng(1).normal(
+        scale=3.0, size=cfg.filters3)
+    _, cache = encode_one(cfg, joint, IDS + (4, 5, 6, 7, 8, 9))
+    omega = cache.omega
+    assert omega.shape == (1, cfg.conv_locs3)
+    assert np.allclose(omega.sum(axis=1), 1.0, atol=1e-12)
     assert np.all((omega > 0) & (omega < 1))
-    fused = global_gate(layer3, gate_w)
-    assert np.allclose(fused, omega @ layer3, atol=1e-15)
+    assert np.allclose(cache.z4, omega[0] @ cache.z3[0], atol=1e-15)
 
 
 def test_global_gate_uniform_for_zero_scores():
-    layer3 = np.ones((5, 3))
-    omega = global_gate_weights(layer3, np.zeros(3))
-    assert np.allclose(omega, 0.2, atol=1e-15)
+    cfg = small_cfg(maxlen=16)
+    joint = make_joint(cfg)
+    joint.encoder.gate_global_w[...] = 0.0
+    _, cache = encode_one(cfg, joint, IDS + (4, 5, 6, 7, 8, 9))
+    assert np.allclose(cache.omega, 1.0 / cfg.conv_locs3, atol=1e-15)
 
 
 def test_pool_global_top_k_mean():
-    layer3 = np.array([[0.1, 0.9], [0.7, 0.3], [0.5, 0.8]])
-    out = pool_global(layer3, 2)
-    assert np.allclose(out, [(0.7 + 0.5) / 2, (0.9 + 0.8) / 2], atol=1e-15)
-
-
-def test_pool_global_out_of_range():
-    with pytest.raises(ConfigError, match="out of range"):
-        pool_global(np.zeros((3, 2)), 4)
+    cfg = small_cfg(fusion="pooling", maxlen=16, pool_k=3)
+    _, cache = encode_one(cfg, make_joint(cfg, seed=5), IDS + (4, 5, 6, 7, 8, 9))
+    top = -np.sort(-cache.z3[0], axis=0)[: cfg.pool_k]
+    assert cache.z3.shape == (1, cfg.conv_locs3, cfg.filters3)
+    assert np.allclose(cache.z4[0], top.mean(axis=0), atol=1e-15)
 
 
 def test_project_final_range_and_value():
-    out = project_final(np.array([1.0, 1.0]), np.array([[0.5, 0.5]]),
-                        np.array([0.0]))
-    assert np.isclose(out[0], sig(1.0), atol=1e-15)
+    cfg = small_cfg()
+    joint = make_joint(cfg)
+    phi, cache = encode_one(cfg, joint, IDS)
+    assert np.all((phi > 0) & (phi < 1))
+    p = joint.encoder
+    assert np.allclose(phi, [sig(v) for v in p.proj_w.astype(float) @ cache.z4[0]
+                             + p.proj_b], atol=1e-15)
+    p.proj_w[...] = 0.0
+    p.proj_b[...] = 1.0
+    phi, _ = encode_one(cfg, joint, IDS)
+    assert np.allclose(phi, sig(1.0), atol=1e-15)
 
 
 def test_attention_signal_depth_and_errors():
-    rng = np.random.default_rng(0)
-    tgt = rng.normal(size=(8, 3)).astype(np.float32)
-    layers = ((rng.normal(size=(4, 9)).astype(np.float32),
-               np.zeros(4, dtype=np.float32)),)
-    out = compute_attention_signal((2, 2, 5), tgt, layers)
-    assert out.shape == (4,)
-    assert np.all((out > 0) & (out < 1))
-    with pytest.raises(ConfigError, match="does not match"):
-        compute_attention_signal((2, 2), tgt, layers)
-    with pytest.raises(ConfigError, match="no attention layers"):
-        compute_attention_signal((2, 2, 5), tgt, ())
+    cfg = small_cfg(arch="attention", attn_depth=2)
+    joint = make_joint(cfg, seed=6)
+    _, cache = encode_one(cfg, joint, IDS, history=(2, 2, 5))
+    assert len(cache.signal_acts) == 2
+    assert all(a.shape == (1, cfg.attn_dim) for a in cache.signal_acts)
+    assert all(np.all((a > 0) & (a < 1)) for a in cache.signal_acts)
+    tgt = joint.tgt_embeddings.astype(float)
+    x = np.concatenate([tgt[2], tgt[2], tgt[5]])
+    for (w, b), act in zip(joint.encoder.attn_layers, cache.signal_acts):
+        x = np.array([sig(v) for v in w.astype(float) @ x + b])
+        assert np.allclose(act[0], x, atol=1e-15)
+    short = TrainingSample(IDS, frozenset(), frozenset(), (2, 2), 4)
+    with pytest.raises(ConfigError, match="history length"):
+        SampleBatch.from_samples([short], cfg)
 
 
-# --- full pipeline vs the loop oracle --------------------------------------
+# --- full pipeline ---------------------------------------------------------
 
 def sample_inputs(cfg, rng, vocab=12):
     n_real = int(rng.integers(4, cfg.maxlen + 1))
@@ -297,78 +332,67 @@ def sample_inputs(cfg, rng, vocab=12):
     return tuple(ids), affiliated, head_positions, history
 
 
-@pytest.mark.parametrize("arch", ARCHS)
-@pytest.mark.parametrize("fusion", ["gating", "pooling"])
-def test_encode_matches_loop_oracle(arch, fusion):
-    cfg = small_cfg(arch=arch, fusion=fusion)
-    rng = np.random.default_rng(7)
-    params = make_params(cfg, seed=1)
-    tgt = np.random.default_rng(2).normal(size=(12, cfg.tgt_emb_dim)) \
-        .astype(np.float32)
-    for trial in range(5):
-        ids, aff, heads, hist = sample_inputs(cfg, rng)
-        if arch != "tag_dep":
-            heads = set()
-        phi, _ = encode(ids, aff, heads, hist, cfg, params,
-                        tgt_embeddings=tgt)
-        ref = reference_encode(
-            ids, aff if cfg.tag_bits else set(), heads, hist, cfg, params,
-            tgt_embeddings=tgt.astype(float),
-        )
-        assert np.allclose(phi, ref, atol=1e-12), f"trial {trial}"
-
-
 def test_trace_replay_reproduces_phi():
+    # The cache holds every intermediate; recomputing the later stages from
+    # it reproduces the representation exactly.
     cfg = small_cfg(arch="tag", fusion="gating")
-    params = make_params(cfg)
-    rng = np.random.default_rng(3)
-    ids, aff, _, hist = sample_inputs(cfg, rng)
-    phi, trace = encode(ids, aff, set(), hist, cfg, params)
-    assert np.array_equal(trace.replay(cfg, params), phi)
-    assert trace.layer1.shape == (cfg.conv_locs1, cfg.filters1)
-    assert trace.layer3.shape == (cfg.conv_locs3, cfg.filters3)
-
-
-def test_encode_guide_requirements():
-    cfg = small_cfg(arch="tag")
-    params = make_params(cfg)
-    with pytest.raises(ConfigError, match="requires affiliated"):
-        encode((4,) * 10, None, None, None, cfg, params)
-
-    acfg = small_cfg(arch="attention")
-    aparams = make_params(acfg)
-    tgt = np.zeros((12, acfg.tgt_emb_dim), dtype=np.float32)
-    with pytest.raises(ConfigError, match="requires a target history"):
-        encode((4,) * 10, None, None, None, acfg, aparams, tgt_embeddings=tgt)
-    with pytest.raises(ConfigError, match="requires the target embedding"):
-        encode((4,) * 10, None, None, (2, 2, 2), acfg, aparams)
-    with pytest.raises(ConfigError, match="history length"):
-        encode((4,) * 10, None, None, (2, 2), acfg, aparams,
-               tgt_embeddings=tgt)
+    joint = make_joint(cfg)
+    ids, aff, _, hist = sample_inputs(cfg, np.random.default_rng(3))
+    phi, c = encode_one(cfg, joint, ids, aff, history=hist)
+    p = joint.astype(np.float64).encoder
+    z2 = (c.alpha[..., None] * c.z1[:, 0::2]
+          + (1.0 - c.alpha)[..., None] * c.z1[:, 1::2])
+    assert np.array_equal(z2, c.z2)
+    z4 = np.einsum("bl,blf->bf", c.omega, c.z3)
+    assert np.array_equal(sigmoid(z4 @ p.proj_w.T + p.proj_b)[0], phi)
+    assert c.z1.shape == (1, cfg.conv_locs1, cfg.filters1)
+    assert c.z3.shape == (1, cfg.conv_locs3, cfg.filters3)
 
 
 def test_generic_arch_ignores_guides():
     cfg = small_cfg(arch="generic")
-    params = make_params(cfg)
-    ids = (4, 5, 6, 7, 8, 9, 10, 11, 4, 5)
-    with_guides, _ = encode(ids, {3, 4}, None, (2, 2, 2), cfg, params)
-    without, _ = encode(ids, None, None, None, cfg, params)
+    p = make_joint(cfg).astype(np.float64)
+    rng = np.random.default_rng(8)
+    ids = np.array([[4, 5, 6, 7, 8, 9, 10, 11, 4, 5]] * 3)
+    masks = rng.random((2, 3, cfg.maxlen)) < 0.5
+    hist = rng.integers(2, 12, size=(3, cfg.history))
+    with_guides, _ = forward_batch(ids, masks[0], masks[1], hist, cfg,
+                                   p.encoder, p.tgt_embeddings)
+    none = np.zeros((3, cfg.maxlen), dtype=bool)
+    without, _ = forward_batch(ids, none, none, None, cfg, p.encoder, None)
     assert np.array_equal(with_guides, without)
 
 
 def test_empty_affiliation_is_legal_for_tag_archs():
     cfg = small_cfg(arch="tag")
-    params = make_params(cfg)
-    phi, trace = encode((4,) * 10, frozenset(), None, None, cfg, params)
-    assert trace.layer0[:, -1].sum() == 0.0
+    phi, cache = encode_one(cfg, make_joint(cfg), (4,) * 10)
+    assert cache.layer0[..., -1].sum() == 0.0
     assert phi.shape == (cfg.repr_dim,)
 
 
-# --- batched kernel vs per-sample path -------------------------------------
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", ["gating", "pooling"])
+def test_encode_matches_loop_oracle(arch, fusion):
+    # One sample at a time (a batch of one) against the loop oracle.
+    cfg = small_cfg(arch=arch, fusion=fusion)
+    rng = np.random.default_rng(7)
+    joint = make_joint(cfg, seed=1)
+    for trial in range(5):
+        ids, aff, heads, hist = sample_inputs(cfg, rng)
+        if arch != "tag_dep":
+            heads = set()
+        phi, _ = encode_one(cfg, joint, ids, aff, heads, hist)
+        ref = reference_encode(
+            ids, aff if cfg.tag_bits else set(), heads, hist, cfg,
+            joint.encoder, tgt_embeddings=joint.tgt_embeddings.astype(float),
+        )
+        assert np.allclose(phi, ref, atol=1e-12), f"trial {trial}"
+
 
 @pytest.mark.parametrize("arch", ARCHS)
 @pytest.mark.parametrize("fusion", ["gating", "pooling"])
 def test_forward_batch_matches_encode(arch, fusion):
+    # The batched kernel against the loop oracle, sample by sample.
     cfg = small_cfg(arch=arch, fusion=fusion)
     rng = np.random.default_rng(11)
     joint = JointModelParams.initialize(cfg, 12, 12, (6,),
@@ -382,11 +406,14 @@ def test_forward_batch_matches_encode(arch, fusion):
         samples.append(TrainingSample(ids, frozenset(aff), frozenset(heads),
                                       hist, 4))
     batch = SampleBatch.from_samples(samples, cfg)
+    p = joint.astype(np.float64)
     phis, _ = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
-                            batch.hist, cfg, joint.encoder.astype(np.float64),
-                            joint.tgt_embeddings.astype(np.float64), np.float64)
+                            batch.hist, cfg, p.encoder, p.tgt_embeddings,
+                            np.float64)
     for i, s in enumerate(samples):
-        phi, _ = encode(s.source_ids, s.affiliated, s.head_positions,
-                        s.history, cfg, joint.encoder,
-                        tgt_embeddings=joint.tgt_embeddings)
-        assert np.allclose(phis[i], phi, atol=1e-12)
+        ref = reference_encode(
+            s.source_ids, s.affiliated if cfg.tag_bits else set(),
+            s.head_positions, s.history, cfg, joint.encoder,
+            tgt_embeddings=joint.tgt_embeddings.astype(float),
+        )
+        assert np.allclose(phis[i], ref, atol=1e-12), f"sample {i}"

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from cjlm.corpus import TrainingSample
-from cjlm.encoder import ARCHS, EncoderConfig
+from cjlm.encoder import ARCHS, FUSIONS, EncoderConfig
 from cjlm.errors import ConfigError
 from cjlm.jointlm import (
     JointModelParams,
     SampleBatch,
     forward_batch,
     log_probs_batch,
+    param_spec,
     perplexity,
-    predict_log_probs,
-    sample_log_prob,
 )
 from cjlm.vocab import PAD_ID
 
@@ -69,6 +68,27 @@ def test_initialize_shapes_and_pad_row():
     assert "hidden_0_w" in names and "tgt_embeddings" in names
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_tensors_follow_param_spec(arch, fusion):
+    cfg = small_cfg(arch=arch, fusion=fusion, attn_depth=2)
+    p = make_joint(cfg, hidden=(6, 5))
+    spec = param_spec(cfg, 12, 11, (6, 5))
+    tensors = p.tensors()
+    assert [s.name for s in spec] == list(tensors)
+    for s in spec:
+        t = tensors[s.name]
+        assert t.shape == s.shape and t.dtype == np.float32, s.name
+        if s.init == "zeros":
+            assert not t.any(), s.name
+        else:
+            assert np.all(np.abs(t) <= 0.5) and t.any(), s.name
+        if s.init == "embedding":
+            assert not t[PAD_ID].any(), s.name
+    rebuilt = JointModelParams.from_tensors(tensors)
+    assert all(a is tensors[n] for n, a in rebuilt.tensors().items())
+
+
 def test_initialize_rejects_tiny_vocab():
     with pytest.raises(ConfigError, match="reserved"):
         make_joint(small_cfg(), src_v=4)
@@ -98,18 +118,19 @@ def test_uniform_when_softmax_is_zero():
     p = make_joint(cfg)
     p.softmax_w[...] = 0.0
     p.softmax_b[...] = 0.0
-    (sample,) = random_samples(cfg, 1, 3)
-    lp = predict_log_probs(sample, cfg, p)
-    assert np.allclose(lp, -np.log(11), atol=1e-12)
-    assert np.isclose(perplexity([sample], cfg, p), 11.0, atol=1e-9)
+    samples = random_samples(cfg, 1, 3)
+    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    assert np.allclose(log_probs, -np.log(11), atol=1e-12)
+    assert np.isclose(perplexity(samples, cfg, p), 11.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_matches_loop_oracle(arch):
     cfg = small_cfg(arch=arch)
     p = make_joint(cfg, seed=4)
-    for sample in random_samples(cfg, 3, 9):
-        lp = predict_log_probs(sample, cfg, p)
+    samples = random_samples(cfg, 3, 9)
+    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    for lp, sample in zip(log_probs, samples):
         ref = reference_log_probs(sample, cfg, p)
         assert np.allclose(lp, ref, atol=1e-12)
 
@@ -128,9 +149,10 @@ def test_log_probs_batch_chunking_invariance():
 def test_sample_log_prob_indexes_target():
     cfg = small_cfg()
     p = make_joint(cfg)
-    (sample,) = random_samples(cfg, 1, 12)
-    assert sample_log_prob(sample, cfg, p) == \
-        pytest.approx(predict_log_probs(sample, cfg, p)[sample.target])
+    samples = random_samples(cfg, 4, 12)
+    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    expected = [row[s.target] for row, s in zip(log_probs, samples)]
+    assert np.array_equal(log_probs_batch(samples, cfg, p), expected)
 
 
 def test_perplexity_of_empty_set_rejected():

@@ -5,7 +5,6 @@ import pytest
 
 from cjlm.corpus import extract_samples, AlignedSentencePair
 from cjlm.errors import CorpusError, ParseError
-from cjlm.jointlm import sample_log_prob
 from cjlm.nbest import (
     DEFAULT_FEATURE_NAME,
     format_annotated_line,
@@ -14,6 +13,7 @@ from cjlm.nbest import (
     score_nbest,
 )
 
+from oracles import reference_log_probs
 from test_serialization import make_artifact
 
 LINE = "0 ||| the cat sat ||| 0-0 1-1 2-2 ||| lm= -4.1 tm= -2.0 ||| -12.5"
@@ -78,7 +78,8 @@ def test_hypothesis_log_prob_is_sum_of_sample_log_probs():
     samples = extract_samples(pair, artifact.source_vocab,
                               artifact.target_vocab, k=cfg.history,
                               maxlen=cfg.maxlen, emit_eos=True)
-    expected = sum(sample_log_prob(s, cfg, artifact.params) for s in samples)
+    expected = sum(reference_log_probs(s, cfg, artifact.params)[s.target]
+                   for s in samples)
     assert total == pytest.approx(expected, abs=1e-10)
     assert len(samples) == 3  # two words plus the EOS event
 

@@ -1,5 +1,7 @@
 """Binary model files: round trips, determinism, corruption rejection."""
 
+import hashlib
+import os
 import struct
 
 import numpy as np
@@ -148,6 +150,27 @@ def test_missing_file_reports_os_error(tmp_path):
         load_model(tmp_path / "does-not-exist")
 
 
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.cjlm"
+    save_model(make_artifact(seed=1), path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("simulated disk failure")
+
+    # The new bytes are written, then syncing them fails.
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="simulated disk failure"):
+        save_model(make_artifact(seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.cjlm"]
+
+    monkeypatch.undo()
+    save_model(make_artifact(seed=2), path)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.cjlm"]
+
+
 def test_no_train_config_round_trips_as_none(tmp_path):
     artifact = make_artifact()
     artifact.train_config = None
@@ -156,3 +179,129 @@ def test_no_train_config_round_trips_as_none(tmp_path):
     loaded = load_model(tmp_path / "m")
     assert loaded.train_config is None
     assert loaded.emit_eos is False
+
+
+# --- format pins -----------------------------------------------------------
+# Tensor names in file order and the SHA-256 of a seeded, untrained model
+# file for every arch x fusion. Any change to the tensor layout, the init
+# draw order or the byte format shows up here.
+
+def pinned_artifact(arch, fusion):
+    cfg = EncoderConfig(arch=arch, emb_dim=5, tgt_emb_dim=4, attn_dim=6,
+                        filters1=7, filters3=6, repr_dim=8, maxlen=10,
+                        history=3, fusion=fusion, attn_depth=2)
+    src_vocab = build_vocabulary([[f"s{i}" for i in range(8)]], limit=8)
+    tgt_vocab = build_vocabulary([[f"t{i}" for i in range(7)]], limit=7)
+    params = JointModelParams.initialize(
+        cfg, len(src_vocab), len(tgt_vocab), (6, 5),
+        np.random.default_rng(3), init_scale=0.5,
+    )
+    return ModelArtifact(cfg, src_vocab, tgt_vocab, params,
+                         train_config=TrainConfig(seed=3))
+
+
+def read_tensor_block(blob):
+    """Split a model file into the bytes before the tensor count and the
+    list of (name, array) records in file order."""
+    pos = len(MAGIC) + 4
+    (header_len,) = struct.unpack_from("<Q", blob, pos)
+    pos += 8 + header_len
+    prefix = blob[:pos]
+    (count,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    records = []
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        name = blob[pos + 2 : pos + 2 + name_len].decode("utf-8")
+        pos += 2 + name_len
+        rank = blob[pos]
+        shape = struct.unpack_from(f"<{rank}I", blob, pos + 1)
+        pos += 1 + 4 * rank
+        size = int(np.prod(shape)) * 4
+        records.append((name, np.frombuffer(blob[pos : pos + size], "<f4")
+                        .reshape(shape)))
+        pos += size
+    return prefix, records
+
+
+def write_tensor_block(path, prefix, records):
+    """Reassemble a model file from edited records with a valid checksum."""
+    blob = bytearray(prefix)
+    blob += struct.pack("<I", len(records))
+    for name, array in records:
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded
+        blob += struct.pack(f"<B{array.ndim}I", array.ndim, *array.shape)
+        blob += np.ascontiguousarray(array, "<f4").tobytes()
+    blob += hashlib.sha256(bytes(blob)).digest()[:CHECKSUM_BYTES]
+    path.write_bytes(bytes(blob))
+
+
+ENCODER_NAMES = ["src_embeddings", "conv1_w", "conv1_b", "conv3_w", "conv3_b",
+                 "proj_w", "proj_b"]
+GATE_NAMES = ["gate_local_w", "gate_local_b", "gate_global_w"]
+ATTN_NAMES = ["attn_0_w", "attn_0_b", "attn_1_w", "attn_1_b"]
+PREDICTOR_NAMES = ["tgt_embeddings", "hidden_0_w", "hidden_0_b", "hidden_1_w",
+                   "hidden_1_b", "softmax_w", "softmax_b"]
+
+PINNED_SHA256 = {
+    ("generic", "gating"):
+        "a4848da742e63e57b42320840a2db57520c6093aac388d4425ad54bc4776be8e",
+    ("generic", "pooling"):
+        "f123776fcd9cd744243961a25447ed089c48dd9ee5373bb8b0e0353126dd8734",
+    ("tag", "gating"):
+        "8080a728fb825f5263748dafb478f2a7b1f849094d2ab7d30ecc324ec5fcc0cb",
+    ("tag", "pooling"):
+        "6d63ee05f0b5b4f3fbef686086b66eda2db182797f2929d587957d692a7c598d",
+    ("tag_dep", "gating"):
+        "bae89a9b37575bd81e40a41b96488bd15027270b49ff6c7291d5db9463d5363f",
+    ("tag_dep", "pooling"):
+        "71585156cf59aef2e5b5d6154fb1e349f81b311804df6e38e92bd893748e42b3",
+    ("attention", "gating"):
+        "32d1df32381b7e651b6a7545b71fd68fd884b4e3a91dea2f72a74119c85ae268",
+    ("attention", "pooling"):
+        "935987b4f076ed5bbbb03db330f797abd5ae98eb65f1224b5795b2f472a2baa6",
+}
+
+
+@pytest.mark.parametrize("arch,fusion", sorted(PINNED_SHA256))
+def test_model_file_format_is_pinned(tmp_path, arch, fusion):
+    path = tmp_path / "model.cjlm"
+    save_model(pinned_artifact(arch, fusion), path)
+    blob = path.read_bytes()
+    names = [name for name, _ in read_tensor_block(blob)[1]]
+    assert names == (ENCODER_NAMES
+                     + (GATE_NAMES if fusion == "gating" else [])
+                     + (ATTN_NAMES if arch == "attention" else [])
+                     + PREDICTOR_NAMES)
+    assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[arch, fusion]
+
+
+def _rewrite(path, edit):
+    prefix, records = read_tensor_block(path.read_bytes())
+    write_tensor_block(path, prefix, edit(records))
+
+
+def test_rejects_missing_tensor(tmp_path):
+    path = tmp_path / "m"
+    save_model(make_artifact(), path)
+    _rewrite(path, lambda recs: [r for r in recs if r[0] != "proj_b"])
+    with pytest.raises(ModelFormatError, match="missing tensor 'proj_b'"):
+        load_model(path)
+
+
+def test_rejects_extra_tensor(tmp_path):
+    path = tmp_path / "m"
+    save_model(make_artifact(), path)
+    _rewrite(path, lambda recs: recs + [("attn_9_b", np.zeros(6))])
+    with pytest.raises(ModelFormatError, match="unexpected tensor 'attn_9_b'"):
+        load_model(path)
+
+
+def test_rejects_wrong_shaped_tensor(tmp_path):
+    path = tmp_path / "m"
+    save_model(make_artifact(), path)
+    _rewrite(path, lambda recs: [(n, a.T if n == "conv3_w" else a)
+                                 for n, a in recs])
+    with pytest.raises(ModelFormatError, match="'conv3_w' has shape"):
+        load_model(path)

@@ -9,7 +9,7 @@ import cjlm.training as tr
 from cjlm.corpus import TrainingSample
 from cjlm.encoder import ARCHS, EncoderConfig
 from cjlm.errors import ConfigError, TrainingDivergedError
-from cjlm.jointlm import JointModelParams
+from cjlm.jointlm import JointModelParams, SampleBatch
 from cjlm.training import (
     EpochMetrics,
     GradientStore,
@@ -102,7 +102,8 @@ def test_sgd_step_zero_like_rate_is_noop():
     cfg = check_cfg()
     params = make_joint(cfg)
     snapshot = {n: t.copy() for n, t in params.tensors().items()}
-    grads, _ = backward(tiny_samples(cfg, 3, 0), cfg, params)
+    grads, _ = backward(SampleBatch.from_samples(tiny_samples(cfg, 3, 0), cfg),
+                        cfg, params)
     # Below half the smallest float32 subnormal even for zero-valued
     # parameters, so every update rounds back unchanged.
     sgd_step(params, grads, learning_rate=1e-50)
@@ -179,14 +180,15 @@ def test_backward_loss_agrees_with_forward():
     cfg = check_cfg(arch="attention")
     params = make_joint(cfg)
     samples = tiny_samples(cfg, 5, 4)
-    _, nll = backward(samples, cfg, params)
+    _, nll = backward(SampleBatch.from_samples(samples, cfg), cfg, params)
     assert nll == pytest.approx(minibatch_loss(samples, cfg, params), abs=1e-12)
 
 
 def test_backward_keeps_pad_rows_at_zero():
     cfg = check_cfg(arch="attention")
     params = make_joint(cfg)
-    grads, _ = backward(tiny_samples(cfg, 5, 5), cfg, params)
+    grads, _ = backward(SampleBatch.from_samples(tiny_samples(cfg, 5, 5), cfg),
+                        cfg, params)
     assert not grads.tensors["src_embeddings"][PAD_ID].any()
     assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
 
