@@ -238,18 +238,17 @@ def _cmd_score_nbest(args) -> int:
             for line, sent in zip(head_lines, source_sentences)
         ]
     with open(args.nbest, encoding="utf-8") as f:
-        nbest_lines = f.read().splitlines()
-    annotated = nb.score_nbest(
-        artifact, source_sentences, nbest_lines,
-        heads=heads, feature_name=args.feature_name,
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as out:
+        annotated = nb.score_nbest(
+            artifact, source_sentences, f,
+            heads=heads, feature_name=args.feature_name,
+        )
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as out:
+                for line in annotated:
+                    out.write(line + "\n")
+        else:
             for line in annotated:
-                out.write(line + "\n")
-    else:
-        for line in annotated:
-            print(line)
+                print(line)
     return 0
 
 

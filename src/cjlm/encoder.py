@@ -234,9 +234,10 @@ def forward_batch(
     rows = p.src_embeddings[ids]
     rows[~content] = 0.0
     if cfg.tag_bits:
-        cols = [rows, aff_mask[..., None].astype(dtype)]
+        # A PAD row is all zero, guide columns included.
+        cols = [rows, (aff_mask & content)[..., None].astype(dtype)]
         if cfg.arch == "tag_dep":
-            cols.append(head_mask[..., None].astype(dtype))
+            cols.append((head_mask & content)[..., None].astype(dtype))
         rows = np.concatenate(cols, axis=2)
     layer0 = rows
 

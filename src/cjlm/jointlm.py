@@ -34,6 +34,8 @@ from .errors import ConfigError
 from .vocab import PAD_ID
 
 DEFAULT_HIDDEN_DIMS = (200,)
+# Rows per softmax block when only target log-probabilities are wanted.
+SOFTMAX_BLOCK = 32
 
 # Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
 # PAD row zeroed (embedding tables).
@@ -172,6 +174,11 @@ class JointModelParams:
             {name: t.astype(dtype) for name, t in self.tensors().items()})
 
 
+def cast_params(p: JointModelParams, dtype) -> JointModelParams:
+    """``p`` in ``dtype``: ``p`` itself when it already is, else one cast."""
+    return p if p.softmax_w.dtype == dtype else p.astype(dtype)
+
+
 @dataclass
 class SampleBatch:
     """Training samples packed into dense arrays for the batched kernels."""
@@ -237,6 +244,18 @@ class PredictorCache:
     log_probs: np.ndarray
 
 
+def _hidden_stack(phi, hist, p):
+    """Predictor input rows and the activations of every hidden layer."""
+    hist_flat = p.tgt_embeddings[hist].reshape(phi.shape[0], -1)
+    x0 = np.concatenate([phi, hist_flat], axis=1)
+    acts = []
+    a = x0
+    for w, b in p.hidden_layers:
+        a = sigmoid(a @ w.T + b)
+        acts.append(a)
+    return hist_flat, x0, acts
+
+
 def predict_forward_batch(
     phi: np.ndarray,
     hist: np.ndarray,
@@ -249,15 +268,8 @@ def predict_forward_batch(
     probability space by construction: the softmax is computed in log space
     with a logsumexp normalizer.
     """
-    batch = phi.shape[0]
-    hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
-    x0 = np.concatenate([phi, hist_flat], axis=1)
-    acts = []
-    a = x0
-    for w, b in p.hidden_layers:
-        a = sigmoid(a @ w.T + b)
-        acts.append(a)
-    logits = a @ p.softmax_w.T + p.softmax_b
+    hist_flat, x0, acts = _hidden_stack(phi, hist, p)
+    logits = (acts[-1] if acts else x0) @ p.softmax_w.T + p.softmax_b
     m = logits.max(axis=1, keepdims=True)
     log_norm = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
     log_probs = logits - log_norm
@@ -307,7 +319,7 @@ def forward_batch(
 
     ``p`` is used as it is when it is already in ``dtype``.
     """
-    pc = p if p.softmax_w.dtype == dtype else p.astype(dtype)
+    pc = cast_params(p, dtype)
     hist = batch.hist if cfg.arch == "attention" else None
     phi, enc_cache = enc.forward_batch(
         batch.ids, batch.aff_mask, batch.head_mask, hist,
@@ -317,6 +329,25 @@ def forward_batch(
     return log_probs, enc_cache, pred_cache
 
 
+def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each distinct row of ``key``, and each row's slot."""
+    _, first, slot = np.unique(key, axis=0, return_index=True,
+                               return_inverse=True)
+    return first, slot.reshape(-1)
+
+
+def _encoder_key(batch: SampleBatch, cfg: EncoderConfig) -> np.ndarray:
+    """The packed columns the encoder reads, one row per sample."""
+    cols = [batch.ids]
+    if cfg.tag_bits:
+        cols.append(batch.aff_mask)
+    if cfg.arch == "tag_dep":
+        cols.append(batch.head_mask)
+    if cfg.arch == "attention":
+        cols.append(batch.hist)
+    return np.concatenate(cols, axis=1)
+
+
 def log_probs_batch(
     samples: Sequence[TrainingSample],
     cfg: EncoderConfig,
@@ -324,16 +355,55 @@ def log_probs_batch(
     minibatch: int = 512,
     dtype=np.float64,
 ) -> np.ndarray:
-    """Log-probability of each sample's target word, batched for speed."""
-    samples = list(samples)
+    """Log-probability of each sample's target word.
+
+    ``p`` is cast to ``dtype`` once per call. The encoder runs once per
+    distinct encoder input and the hidden stack once per distinct (encoder
+    input, history) pair; ``minibatch`` bounds the rows either takes at once.
+    The softmax runs over blocks of ``SOFTMAX_BLOCK`` distinct rows, so the
+    samples-by-vocabulary log-probability matrix is never built.
+    """
     out = np.empty(len(samples), dtype=np.float64)
-    for start in range(0, len(samples), minibatch):
-        chunk = samples[start : start + minibatch]
-        batch = SampleBatch.from_samples(chunk, cfg)
-        log_probs, _, _ = forward_batch(batch, cfg, p, dtype=dtype)
-        out[start : start + len(chunk)] = log_probs[
-            np.arange(len(chunk)), batch.targets
-        ]
+    if not samples:
+        return out
+    pc = cast_params(p, dtype)
+    batch = SampleBatch.from_samples(samples, cfg)
+    enc_first, enc_slot = _distinct_rows(_encoder_key(batch, cfg))
+    phi = np.empty((len(enc_first), cfg.repr_dim), dtype=dtype)
+    for start in range(0, len(enc_first), minibatch):
+        rows = enc_first[start : start + minibatch]
+        phi[start : start + len(rows)], _ = enc.forward_batch(
+            batch.ids[rows], batch.aff_mask[rows], batch.head_mask[rows],
+            batch.hist[rows] if cfg.arch == "attention" else None,
+            cfg, pc.encoder, pc.tgt_embeddings, dtype=dtype,
+        )
+
+    pred_first, pred_slot = _distinct_rows(
+        np.concatenate([enc_slot[:, None], batch.hist], axis=1))
+    # Samples sorted by predictor row: those of rows [i, j) are
+    # by_row[bounds[i]:bounds[j]].
+    by_row = np.argsort(pred_slot, kind="stable")
+    bounds = np.searchsorted(pred_slot[by_row], np.arange(len(pred_first) + 1))
+    target_logit = np.empty(len(samples), dtype=dtype)
+    log_norm = np.empty(len(pred_first), dtype=dtype)
+    block = np.empty((SOFTMAX_BLOCK, pc.target_vocab_size), dtype=dtype)
+    for start in range(0, len(pred_first), minibatch):
+        rows = pred_first[start : start + minibatch]
+        _, x0, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
+        top = acts[-1] if acts else x0
+        for lo in range(0, len(rows), SOFTMAX_BLOCK):
+            hi = min(lo + SOFTMAX_BLOCK, len(rows))
+            logits = np.matmul(top[lo:hi], pc.softmax_w.T, out=block[: hi - lo])
+            logits += pc.softmax_b
+            members = by_row[bounds[start + lo] : bounds[start + hi]]
+            target_logit[members] = logits[pred_slot[members] - (start + lo),
+                                           batch.targets[members]]
+            m = logits.max(axis=1, keepdims=True)
+            logits -= m
+            np.exp(logits, out=logits)
+            log_norm[start + lo : start + hi] = (
+                m + np.log(logits.sum(axis=1, keepdims=True)))[:, 0]
+    out[:] = target_logit - log_norm[pred_slot]
     return out
 
 

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import jointlm as jm
-from .corpus import AlignedSentencePair, extract_samples, parse_alignment_line
+from .corpus import (
+    AlignedSentencePair,
+    TrainingSample,
+    extract_samples,
+    parse_alignment_line,
+)
 from .errors import CorpusError, ParseError
 from .serialization import ModelArtifact
 
@@ -75,6 +82,32 @@ def format_annotated_line(entry: NBestEntry, feature_name: str,
     return FIELD_SEPARATOR.join(fields)
 
 
+def _hypothesis_samples(
+    artifact: ModelArtifact,
+    source_tokens: Sequence[str],
+    hypothesis_tokens: Sequence[str],
+    alignment: frozenset[tuple[int, int]] | None,
+    heads: Sequence[int] | None,
+) -> list[TrainingSample]:
+    """The samples whose log-probabilities sum to one hypothesis's feature."""
+    cfg = artifact.encoder_config
+    pair = AlignedSentencePair(
+        source_tokens=tuple(source_tokens),
+        target_tokens=tuple(hypothesis_tokens),
+        alignment=alignment if alignment is not None else frozenset(),
+        heads=tuple(heads) if heads is not None else None,
+    )
+    return extract_samples(
+        pair,
+        artifact.source_vocab,
+        artifact.target_vocab,
+        k=cfg.history,
+        maxlen=cfg.maxlen,
+        emit_eos=artifact.emit_eos,
+        with_guides=cfg.tag_bits > 0,
+    )
+
+
 def hypothesis_log_prob(
     artifact: ModelArtifact,
     source_tokens: Sequence[str],
@@ -83,26 +116,9 @@ def hypothesis_log_prob(
     heads: Sequence[int] | None = None,
 ) -> float:
     """Sum of per-word log-probabilities for one complete hypothesis."""
-    cfg = artifact.encoder_config
-    needs_alignment = cfg.arch in ("tag", "tag_dep")
-    pair = AlignedSentencePair(
-        source_tokens=tuple(source_tokens),
-        target_tokens=tuple(hypothesis_tokens),
-        alignment=alignment if alignment is not None else frozenset(),
-        heads=tuple(heads) if heads is not None else None,
-    )
-    samples = extract_samples(
-        pair,
-        artifact.source_vocab,
-        artifact.target_vocab,
-        k=cfg.history,
-        maxlen=cfg.maxlen,
-        emit_eos=artifact.emit_eos,
-        with_guides=needs_alignment,
-    )
-    if not samples:
-        return 0.0
-    log_probs = jm.log_probs_batch(samples, cfg, artifact.params)
+    samples = _hypothesis_samples(
+        artifact, source_tokens, hypothesis_tokens, alignment, heads)
+    log_probs = jm.log_probs_batch(samples, artifact.encoder_config, artifact.params)
     return float(log_probs.sum())
 
 
@@ -118,14 +134,35 @@ def score_nbest(
     Output lines appear in input order; all pre-existing fields pass through
     unchanged. Tag archs require a non-empty alignment field and, for the
     dependency variant, a heads row per source sentence.
+
+    Consecutive lines with the same sentence id form one list. The parameters
+    are cast once per call, and each list is scored with one
+    ``log_probs_batch`` call once the first line of the next list (or the end
+    of ``nbest_lines``) is read, so memory holds one list. A line that fails
+    raises before any line of its list is yielded.
     """
     cfg = artifact.encoder_config
-    needs_alignment = cfg.arch in ("tag", "tag_dep")
+    needs_alignment = cfg.tag_bits > 0
+    params = jm.cast_params(artifact.params, np.float64)
+    entries: list[NBestEntry] = []
+    samples: list[TrainingSample] = []
+    counts: list[int] = []
+
+    def annotated_list() -> Iterator[str]:
+        log_probs = jm.log_probs_batch(samples, cfg, params)
+        ends = np.cumsum(counts)
+        for entry, end, count in zip(entries, ends, counts):
+            value = float(log_probs[end - count : end].sum())
+            yield format_annotated_line(entry, feature_name, value)
+
     for line_no, line in enumerate(nbest_lines, start=1):
         try:
             entry = parse_nbest_line(line)
         except ParseError as e:
             raise ParseError(f"n-best line {line_no}: {e.args[0]}") from None
+        if entries and entry.sentence_id != entries[-1].sentence_id:
+            yield from annotated_list()
+            entries, samples, counts = [], [], []
         if not 0 <= entry.sentence_id < len(source_sentences):
             raise CorpusError(
                 f"n-best line {line_no}: sentence id {entry.sentence_id} outside "
@@ -144,14 +181,17 @@ def score_nbest(
                     f"for sentence {entry.sentence_id}"
                 )
             sentence_heads = heads[entry.sentence_id]
-        source_tokens = source_sentences[entry.sentence_id]
         try:
-            value = hypothesis_log_prob(
-                artifact, source_tokens, entry.tokens,
+            line_samples = _hypothesis_samples(
+                artifact, source_sentences[entry.sentence_id], entry.tokens,
                 entry.alignment, sentence_heads,
             )
         except CorpusError as e:
             raise CorpusError(
                 f"n-best line {line_no} (sentence {entry.sentence_id}): {e.args[0]}"
             ) from None
-        yield format_annotated_line(entry, feature_name, value)
+        entries.append(entry)
+        samples.extend(line_samples)
+        counts.append(len(line_samples))
+    if entries:
+        yield from annotated_list()

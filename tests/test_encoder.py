@@ -183,6 +183,20 @@ def test_embed_source_tags_and_pad():
     assert np.array_equal(rows[7:, :-2], joint.encoder.src_embeddings[[4, 5, 6]])
 
 
+@pytest.mark.parametrize("arch", ["tag", "tag_dep"])
+def test_guides_on_pad_positions_are_dropped(arch):
+    # extract_samples never puts a guide on a PAD position, but a hand-built
+    # sample may; its PAD rows must still be all zero, as in the oracle.
+    cfg = small_cfg(arch=arch)
+    joint = make_joint(cfg, seed=3)
+    ids = (PAD_ID,) * 5 + (4, 5, 6, 7, 8)
+    aff, heads = {2, 6}, ({1, 7} if arch == "tag_dep" else set())
+    phi, cache = encode_one(cfg, joint, ids, aff, heads)
+    assert not cache.layer0[0, :5].any()
+    ref = reference_encode(ids, aff, heads, (2, 2, 2), cfg, joint.encoder)
+    assert np.allclose(phi, ref, atol=1e-12)
+
+
 def test_embed_source_rejects_bad_positions():
     cfg = small_cfg(arch="tag_dep")
     for affiliated, heads in (({11}, set()), ({10}, set()), ({-1}, set()),

@@ -1,5 +1,7 @@
 """Joint predictor: normalization, oracle agreement, batching invariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,10 +148,18 @@ def test_log_probs_batch_chunking_invariance():
     assert np.array_equal(full, chunked)
 
 
-def test_sample_log_prob_indexes_target():
-    cfg = small_cfg()
+@pytest.mark.parametrize("arch", ARCHS)
+def test_sample_log_prob_indexes_target(arch):
+    cfg = small_cfg(arch=arch)
     p = make_joint(cfg)
     samples = random_samples(cfg, 4, 12)
+    # Repeats share encoder and predictor rows, and so does a new target. A
+    # new history shares the encoder row except under attention; new guides
+    # share it except under the tag archs.
+    samples += [samples[2], samples[0], replace(samples[2], target=3),
+                replace(samples[1], history=(2, 3, 4)),
+                replace(samples[3], affiliated=frozenset()),
+                replace(samples[3], head_positions=frozenset())]
     log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
     expected = [row[s.target] for row, s in zip(log_probs, samples)]
     assert np.array_equal(log_probs_batch(samples, cfg, p), expected)

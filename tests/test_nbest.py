@@ -1,9 +1,12 @@
 """N-best list parsing, annotation, and hypothesis scoring."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cjlm.corpus import extract_samples, AlignedSentencePair
+from cjlm.encoder import ARCHS, FUSIONS
 from cjlm.errors import CorpusError, ParseError
 from cjlm.nbest import (
     DEFAULT_FEATURE_NAME,
@@ -163,3 +166,82 @@ def test_score_nbest_reports_line_numbers_for_parse_errors():
     lines = ["0 ||| t0 |||  ||| f= 1 ||| 0", "garbage"]
     with pytest.raises(ParseError, match="line 2"):
         list(score_nbest(artifact, [("s0",)], lines))
+
+
+SOURCES = [("s0", "s1", "s2", "s3"), ("s4", "s2", "s5"),
+           ("s6", "s7", "s1", "s0", "s3")]
+HEADS = [(1, -1, 1, 2), (-1, 0, 0), (-1, 0, 1, 2, 3)]
+# Four lists: a repeated hypothesis, shared n-grams, an empty hypothesis, an
+# out-of-vocabulary word, and sentence 0 coming back after sentence 1.
+MULTI_LIST = [
+    "0 ||| t0 t1 t2 ||| 0-0 1-1 2-3 ||| f= 1 ||| -1",
+    "0 ||| t0 t1 t2 ||| 0-0 1-1 2-3 ||| f= 2 ||| -2",
+    "0 ||| t0 t1 t3 ||| 0-0 1-2 ||| f= 3 ||| -3",
+    "0 |||  |||  ||| f= 4 ||| -4",
+    "1 ||| t4 t0 t1 ||| 0-1 2-2 ||| f= 5 ||| -5",
+    "1 ||| t0 t1 ||| 0-0 1-2 ||| f= 6 ||| -6",
+    "0 ||| t2 t0 t1 ||| 0-3 1-0 2-1 ||| f= 7 ||| -7",
+    "0 ||| t5 zz ||| 0-2 1-1 ||| f= 8 ||| -8",
+    "2 ||| t6 t0 t1 t2 ||| 0-4 3-0 ||| f= 9 ||| -9",
+]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_score_nbest_matches_oracle(arch, fusion):
+    artifact = make_artifact(arch=arch, fusion=fusion, seed=3)
+    cfg = artifact.encoder_config
+    heads = HEADS if arch == "tag_dep" else None
+    out = list(score_nbest(artifact, SOURCES, MULTI_LIST, heads=heads))
+    assert len(out) == len(MULTI_LIST)
+    values = []
+    for before, after in zip(MULTI_LIST, out):
+        entry = parse_nbest_line(before)
+        pair = AlignedSentencePair(
+            SOURCES[entry.sentence_id], entry.tokens,
+            entry.alignment or frozenset(),
+            HEADS[entry.sentence_id] if heads else None)
+        samples = extract_samples(pair, artifact.source_vocab,
+                                  artifact.target_vocab, k=cfg.history,
+                                  maxlen=cfg.maxlen, emit_eos=True,
+                                  with_guides=cfg.tag_bits > 0)
+        expected = sum(reference_log_probs(s, cfg, artifact.params)[s.target]
+                       for s in samples)
+        prefix = f" f= {entry.raw_fields[3].split()[-1]} {DEFAULT_FEATURE_NAME}= "
+        assert after.split("|||")[3].startswith(prefix)
+        values.append(float(after.split("|||")[3].split()[-1]))
+        assert values[-1] == pytest.approx(expected, abs=1e-10), before
+    assert values[0] == values[1]
+
+
+def test_score_nbest_reads_one_list_ahead():
+    artifact = make_artifact(arch="generic")
+    first_list = MULTI_LIST[:4]
+
+    def lines():
+        yield from first_list
+        yield MULTI_LIST[4]
+        raise AssertionError("read past the first line of the second list")
+
+    out = list(itertools.islice(score_nbest(artifact, SOURCES, lines()),
+                                len(first_list)))
+    assert [line.split("|||")[1] for line in out] == \
+        [line.split("|||")[1] for line in first_list]
+    assert all(f" {DEFAULT_FEATURE_NAME}= " in line for line in out)
+
+
+@pytest.mark.parametrize("last, error, written", [
+    # A malformed line may belong to the list being scored, so none of the
+    # list is written; an overlong source starts a new list after it.
+    ("0 ||| t2 ||| f= 1 ||| 0", ParseError, 0),  # four fields
+    ("1 ||| t2 |||  ||| f= 1 ||| 0", CorpusError, 2),  # 11 > maxlen 10
+])
+def test_score_nbest_names_the_failing_line(last, error, written):
+    artifact = make_artifact(arch="generic")
+    sources = [("s0", "s1"), ("s2",) * 11]
+    lines = ["0 ||| t0 t1 |||  ||| f= 1 ||| 0", "0 ||| t1 |||  ||| f= 1 ||| 0",
+             last]
+    out = []
+    with pytest.raises(error, match="n-best line 3"):
+        out.extend(score_nbest(artifact, sources, lines))
+    assert len(out) == written
