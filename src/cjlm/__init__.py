@@ -16,7 +16,7 @@ from .corpus import (
     parse_heads_line,
     read_parallel_corpus,
 )
-from .encoder import EncoderConfig, EncoderParams
+from .encoder import EncoderConfig
 from .errors import (
     CjlmError,
     ConfigError,
@@ -54,7 +54,6 @@ __all__ = [
     "ConfigError",
     "CorpusError",
     "EncoderConfig",
-    "EncoderParams",
     "ExtractionStats",
     "GradientStore",
     "JointModelParams",

@@ -13,6 +13,7 @@ Exit codes: 0 on success, 2 for usage errors, 1 with a one-line
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,6 +32,7 @@ GRAD_CHECK_THRESHOLD = 1e-4
 
 
 def _add_train_parser(sub):
+    enc, opt = EncoderConfig(), TrainConfig()
     p = sub.add_parser("train", help="train a joint language model")
     p.add_argument("--source", required=True, help="tokenized source sentences")
     p.add_argument("--target", required=True, help="tokenized target sentences")
@@ -38,28 +40,29 @@ def _add_train_parser(sub):
                    help="per-sentence 'i-j' source-target alignment pairs")
     p.add_argument("--heads", help="per-source-token dependency head indices")
     p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--arch", choices=ARCHS, default="generic")
-    p.add_argument("--fusion", choices=FUSIONS, default="gating")
-    p.add_argument("--pool-k", type=int, default=2,
+    p.add_argument("--arch", choices=ARCHS, default=enc.arch)
+    p.add_argument("--fusion", choices=FUSIONS, default=enc.fusion)
+    p.add_argument("--pool-k", type=int, default=enc.pool_k,
                    help="top-k size for global pooling fusion")
-    p.add_argument("--emb-dim", type=int, default=100)
-    p.add_argument("--tgt-emb-dim", type=int, default=100)
-    p.add_argument("--attn-dim", type=int, default=100)
-    p.add_argument("--filters", type=int, default=100,
+    p.add_argument("--emb-dim", type=int, default=enc.emb_dim)
+    p.add_argument("--tgt-emb-dim", type=int, default=enc.tgt_emb_dim)
+    p.add_argument("--attn-dim", type=int, default=enc.attn_dim)
+    p.add_argument("--filters", type=int, default=enc.filters1,
                    help="feature maps per convolution layer")
-    p.add_argument("--repr-dim", type=int, default=100)
-    p.add_argument("--maxlen", type=int, default=40)
-    p.add_argument("--ngram", type=int, default=4,
+    p.add_argument("--repr-dim", type=int, default=enc.repr_dim)
+    p.add_argument("--maxlen", type=int, default=enc.maxlen)
+    p.add_argument("--ngram", type=int, default=enc.history + 1,
                    help="joint LM order; history is ngram-1 words")
-    p.add_argument("--hidden", type=int, nargs="+", default=[200],
+    p.add_argument("--hidden", type=int, nargs="+",
+                   default=list(jm.DEFAULT_HIDDEN_DIMS),
                    help="predictor hidden layer sizes")
     p.add_argument("--vocab-limit", type=int, default=20000)
-    p.add_argument("--minibatch", type=int, default=500)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--init-scale", type=float, default=0.08,
+    p.add_argument("--minibatch", type=int, default=opt.minibatch)
+    p.add_argument("--epochs", type=int, default=opt.epochs)
+    p.add_argument("--learning-rate", type=float, default=opt.learning_rate)
+    p.add_argument("--init-scale", type=float, default=opt.init_scale,
                    help="half-width of the uniform weight initialization")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=opt.seed)
     p.add_argument("--lr-halving", action="store_true",
                    help="halve the learning rate when held-out perplexity stalls")
     p.add_argument("--grad-clip", type=float, default=None)
@@ -305,10 +308,8 @@ def _add_inspect_parser(sub):
 def _cmd_inspect(args) -> int:
     artifact = load_model(args.model)
     cfg = artifact.encoder_config
-    for name in ("arch", "emb_dim", "tgt_emb_dim", "attn_dim", "filters1",
-                 "filters3", "repr_dim", "maxlen", "history", "fusion",
-                 "pool_k", "attn_depth"):
-        print(f"{name}={getattr(cfg, name)}")
+    for f in dataclasses.fields(cfg):
+        print(f"{f.name}={getattr(cfg, f.name)}")
     print(f"hidden_dims={','.join(str(d) for d in artifact.params.hidden_dims)}")
     print(f"emit_eos={artifact.emit_eos}")
     print(f"source_vocab={len(artifact.source_vocab)}")
@@ -320,7 +321,7 @@ def _cmd_inspect(args) -> int:
         shape = "x".join(str(d) for d in t.shape)
         print(f"{name},{shape},{t.size},{t.min():.6g},{t.max():.6g},"
               f"{t.mean():.6g},{t.std():.6g}")
-    gate = artifact.params.encoder.gate_global_w
+    gate = artifact.params.gate_global_w
     if gate is not None:
         print("global_gate_weight_histogram")
         print("bin_lo,bin_hi,count")

@@ -24,12 +24,16 @@ shaped inputs for the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from .vocab import PAD_ID
+
+if TYPE_CHECKING:
+    from .jointlm import JointModelParams
 
 ARCHS = ("generic", "tag", "tag_dep", "attention")
 FUSIONS = ("gating", "pooling")
@@ -138,50 +142,36 @@ class EncoderConfig:
         return self.prefix_dim + CONV_WINDOW * self.input_dim
 
 
-@dataclass
-class EncoderParams:
-    """All learnable encoder tensors, as ``jointlm.param_spec`` declares them.
-
-    Gate tensors exist only under gating fusion; attention layers only for the
-    attention arch. The PAD embedding row is fixed at zero and never trained.
-    """
-
-    src_embeddings: np.ndarray
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv3_w: np.ndarray
-    conv3_b: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-    gate_local_w: np.ndarray | None = None
-    gate_local_b: np.ndarray | None = None
-    gate_global_w: np.ndarray | None = None
-    attn_layers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return named_tensors(self)
+def sigmoid_stack(x: np.ndarray, layers) -> list[np.ndarray]:
+    """Activations of a stack of dense sigmoid layers, given (weight, bias)
+    pairs: the attention signal and the predictor hidden stack."""
+    acts = []
+    for w, b in layers:
+        x = sigmoid(x @ w.T + b)
+        acts.append(x)
+    return acts
 
 
-def named_tensors(params) -> dict[str, np.ndarray]:
-    """Flatten a parameter dataclass into named tensors, in field order.
-
-    A nested parameter dataclass contributes its own tensors, a
-    ``<stack>_layers`` field of (weight, bias) pairs contributes
-    ``<stack>_<i>_w`` and ``<stack>_<i>_b``, and a None field (a tensor the
-    config leaves out) contributes nothing.
-    """
-    out = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if f.name.endswith("_layers"):
-            stack = f.name[: -len("_layers")]
-            for i, (w, b) in enumerate(value):
-                out[f"{stack}_{i}_w"], out[f"{stack}_{i}_b"] = w, b
-        elif is_dataclass(value):
-            out.update(named_tensors(value))
-        elif value is not None:
-            out[f.name] = value
-    return out
+def sigmoid_stack_backward(
+    da: np.ndarray,
+    x: np.ndarray,
+    acts: list[np.ndarray],
+    layers,
+    stack: str,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Backward of ``sigmoid_stack`` for the gradient ``da`` of its last
+    activation. Stores ``<stack>_<i>_w``/``_b`` in ``grads`` and returns the
+    gradient with respect to the input ``x``."""
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        act = acts[i]
+        prev = x if i == 0 else acts[i - 1]
+        dpre = da * act * (1.0 - act)
+        grads[f"{stack}_{i}_w"] = dpre.T @ prev
+        grads[f"{stack}_{i}_b"] = dpre.sum(axis=0)
+        da = dpre @ w
+    return da
 
 
 @dataclass
@@ -190,10 +180,9 @@ class BatchCache:
 
     ids: np.ndarray
     content_mask: np.ndarray
-    hist: np.ndarray | None
-    hist_flat: np.ndarray | None
     layer0: np.ndarray
     windows1: np.ndarray
+    hist_flat: np.ndarray | None = None
     signal_acts: list[np.ndarray] = field(default_factory=list)
     z1: np.ndarray = None
     alpha: np.ndarray = None
@@ -219,15 +208,14 @@ def forward_batch(
     head_mask: np.ndarray,
     hist: np.ndarray | None,
     cfg: EncoderConfig,
-    p: EncoderParams,
-    tgt_emb: np.ndarray | None,
-    dtype=np.float64,
+    p: JointModelParams,
 ) -> tuple[np.ndarray, BatchCache]:
     """Vectorized encoder forward over a batch of prepared samples.
 
-    ``p`` and ``tgt_emb`` must already be cast to ``dtype``. Masks are boolean
-    (batch, maxlen); ``hist`` is int (batch, history) and may be None for the
-    non-attention archs.
+    ``p`` is the ``jointlm.JointModelParams``; the computation runs in its
+    dtype. Masks are boolean (batch, maxlen); ``hist`` is int (batch,
+    history), read only by the attention arch, which embeds it with
+    ``p.tgt_embeddings``.
     """
     batch = ids.shape[0]
     content = ids != PAD_ID
@@ -235,28 +223,22 @@ def forward_batch(
     rows[~content] = 0.0
     if cfg.tag_bits:
         # A PAD row is all zero, guide columns included.
-        cols = [rows, (aff_mask & content)[..., None].astype(dtype)]
+        cols = [rows, (aff_mask & content)[..., None].astype(rows.dtype)]
         if cfg.arch == "tag_dep":
-            cols.append((head_mask & content)[..., None].astype(dtype))
+            cols.append((head_mask & content)[..., None].astype(rows.dtype))
         rows = np.concatenate(cols, axis=2)
     layer0 = rows
 
     n1 = cfg.conv_locs1
     w1 = _windows(layer0, n1)
-    cache = BatchCache(
-        ids=ids, content_mask=content, hist=hist, hist_flat=None,
-        layer0=layer0, windows1=w1,
-    )
+    cache = BatchCache(ids=ids, content_mask=content, layer0=layer0, windows1=w1)
 
     pre1 = w1 @ p.conv1_w[:, cfg.prefix_dim :].T + p.conv1_b
     if cfg.arch == "attention":
-        hist_flat = tgt_emb[hist].reshape(batch, -1)
-        cache.hist_flat = hist_flat
-        act = hist_flat
-        for w, b in p.attn_layers:
-            act = sigmoid(act @ w.T + b)
-            cache.signal_acts.append(act)
-        pre1 = pre1 + (act @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
+        cache.hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
+        cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
+        signal = cache.signal_acts[-1]
+        pre1 = pre1 + (signal @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
     z1 = sigmoid(pre1)
     cache.z1 = z1
 
@@ -301,12 +283,11 @@ def backward_batch(
     cache: BatchCache,
     dphi: np.ndarray,
     cfg: EncoderConfig,
-    p: EncoderParams,
-    dtype=np.float64,
+    p: JointModelParams,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Exact gradients of the encoder for a given representation gradient.
 
-    Returns the gradient dict keyed like ``EncoderParams.tensors`` plus the
+    Returns the gradient dict keyed like ``JointModelParams.tensors`` plus the
     gradient with respect to the flattened history embeddings (attention arch
     only; None otherwise). PAD rows contribute nothing to the embedding
     gradient because their zero rows are constants.
@@ -356,7 +337,7 @@ def backward_batch(
         dalpha = np.einsum("blf,blf->bl", dz2, z1e - z1o)
         du = dalpha * alpha * (1.0 - alpha)
         grads["gate_local_w"] = np.einsum("bl,blw->w", du, cache.gate_in)
-        grads["gate_local_b"] = np.asarray([du.sum()], dtype=dtype)
+        grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
         dgate_in = du[..., None] * p.gate_local_w
         d0 = cfg.input_dim
         for t in range(2 * LOCAL_PAIR):
@@ -383,16 +364,8 @@ def backward_batch(
         dsignal = np.einsum("blf,fp->bp", dpre1, p.conv1_w[:, : cfg.prefix_dim])
         grads_conv1_prefix = np.einsum("blf,bp->fp", dpre1, signal)
         grads["conv1_w"] = np.concatenate([grads_conv1_prefix, grads_conv1_word], axis=1)
-        da = dsignal
-        for i in range(len(p.attn_layers) - 1, -1, -1):
-            w, _ = p.attn_layers[i]
-            act = cache.signal_acts[i]
-            prev = cache.hist_flat if i == 0 else cache.signal_acts[i - 1]
-            dpre = da * act * (1.0 - act)
-            grads[f"attn_{i}_w"] = dpre.T @ prev
-            grads[f"attn_{i}_b"] = dpre.sum(axis=0)
-            da = dpre @ w
-        dhist_flat = da
+        dhist_flat = sigmoid_stack_backward(
+            dsignal, cache.hist_flat, cache.signal_acts, p.attn_layers, "attn", grads)
     else:
         grads["conv1_w"] = grads_conv1_word
 

@@ -26,9 +26,8 @@ from .encoder import (
     LOCAL_PAIR,
     PARAM_DTYPE,
     EncoderConfig,
-    EncoderParams,
-    named_tensors,
-    sigmoid,
+    sigmoid_stack,
+    sigmoid_stack_backward,
 )
 from .errors import ConfigError
 from .vocab import PAD_ID
@@ -36,6 +35,8 @@ from .vocab import PAD_ID
 DEFAULT_HIDDEN_DIMS = (200,)
 # Rows per softmax block when only target log-probabilities are wanted.
 SOFTMAX_BLOCK = 32
+# Most rows the encoder or the hidden stack takes at once when scoring.
+SCORE_ROWS = 512
 
 # Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
 # PAD row zeroed (embedding tables).
@@ -60,6 +61,8 @@ def param_spec(
     file order and the order of the seeded initialization draws, so changing
     it changes model files.
     """
+    if not hidden_dims or any(d < 1 for d in hidden_dims):
+        raise ConfigError("hidden_dims must be a non-empty tuple of positive ints")
 
     def layer(name, out_dim, in_dim):
         return [TensorSpec(f"{name}_w", (out_dim, in_dim), UNIFORM),
@@ -96,17 +99,30 @@ def _layer_stack(tensors: dict[str, np.ndarray], stack: str):
     return tuple(pairs)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class JointModelParams:
-    """Encoder tensors plus the predictor stack.
+    """Every learnable tensor of the joint model, fields in ``param_spec`` order.
 
-    ``hidden_layers`` holds (weight, bias) pairs for the sigmoid stack between
-    the concatenated input and the softmax; ``tgt_embeddings`` is shared with
-    the attention guide signal. ``tensors()`` lists every tensor by its
+    Gate tensors exist only under gating fusion and attention layers only for
+    the attention arch. ``attn_layers`` and ``hidden_layers`` hold (weight,
+    bias) pairs: the guide-signal stack and the sigmoid stack between the
+    predictor input and the softmax. ``tgt_embeddings`` feeds both the
+    predictor input and the attention guide signal. PAD embedding rows are
+    fixed at zero and never trained. ``tensors()`` lists every tensor by its
     ``param_spec`` name and in its order; ``from_tensors`` is the inverse.
     """
 
-    encoder: EncoderParams
+    src_embeddings: np.ndarray
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    conv3_w: np.ndarray
+    conv3_b: np.ndarray
+    proj_w: np.ndarray
+    proj_b: np.ndarray
+    gate_local_w: np.ndarray | None = None
+    gate_local_b: np.ndarray | None = None
+    gate_global_w: np.ndarray | None = None
+    attn_layers: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     tgt_embeddings: np.ndarray
     hidden_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     softmax_w: np.ndarray
@@ -127,8 +143,6 @@ class JointModelParams:
         if src_vocab_size < 5 or tgt_vocab_size < 5:
             raise ConfigError("vocabulary must contain the reserved tokens")
         hidden_dims = tuple(int(d) for d in hidden_dims)
-        if not hidden_dims or any(d < 1 for d in hidden_dims):
-            raise ConfigError("hidden_dims must be a non-empty tuple of positive ints")
 
         def draw(spec: TensorSpec) -> np.ndarray:
             if spec.init == ZEROS:
@@ -143,20 +157,17 @@ class JointModelParams:
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "JointModelParams":
-        """Build the parameters from tensors named as in ``param_spec``."""
-        encoder_fields = [f.name for f in fields(EncoderParams)
-                          if f.name != "attn_layers"]
-        encoder = EncoderParams(
-            **{name: tensors.get(name) for name in encoder_fields},
-            attn_layers=_layer_stack(tensors, "attn"),
-        )
-        return cls(
-            encoder=encoder,
-            tgt_embeddings=tensors["tgt_embeddings"],
-            hidden_layers=_layer_stack(tensors, "hidden"),
-            softmax_w=tensors["softmax_w"],
-            softmax_b=tensors["softmax_b"],
-        )
+        """Build the parameters from tensors named as in ``param_spec``.
+
+        A ``<stack>_layers`` field gathers ``<stack>_<i>_w``/``_b`` pairs.
+        """
+        kwargs = {}
+        for f in fields(cls):
+            if f.name.endswith("_layers"):
+                kwargs[f.name] = _layer_stack(tensors, f.name[: -len("_layers")])
+            elif f.name in tensors:
+                kwargs[f.name] = tensors[f.name]
+        return cls(**kwargs)
 
     @property
     def hidden_dims(self) -> tuple[int, ...]:
@@ -167,15 +178,31 @@ class JointModelParams:
         return self.softmax_w.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return named_tensors(self)
+        """Every tensor by its ``param_spec`` name, in field order; a None
+        field (a tensor the config leaves out) contributes nothing."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_layers"):
+                stack = f.name[: -len("_layers")]
+                for i, (w, b) in enumerate(value):
+                    out[f"{stack}_{i}_w"], out[f"{stack}_{i}_b"] = w, b
+            elif value is not None:
+                out[f.name] = value
+        return out
 
     def astype(self, dtype) -> "JointModelParams":
         return self.from_tensors(
             {name: t.astype(dtype) for name, t in self.tensors().items()})
 
 
-def cast_params(p: JointModelParams, dtype) -> JointModelParams:
-    """``p`` in ``dtype``: ``p`` itself when it already is, else one cast."""
+def compute_params(p: JointModelParams) -> JointModelParams:
+    """``p`` in its compute dtype, the promotion of its dtype with float64.
+
+    Float32 storage gets one float64 copy; float64 or longdouble parameters
+    are returned as they are, the same object.
+    """
+    dtype = np.promote_types(p.softmax_w.dtype, np.float64)
     return p if p.softmax_w.dtype == dtype else p.astype(dtype)
 
 
@@ -237,47 +264,33 @@ class PredictorCache:
     """Forward intermediates of the predictor stack for one batch."""
 
     phi: np.ndarray
-    hist: np.ndarray
-    hist_flat: np.ndarray
     x0: np.ndarray
     hidden_acts: list[np.ndarray]
-    log_probs: np.ndarray
 
 
 def _hidden_stack(phi, hist, p):
     """Predictor input rows and the activations of every hidden layer."""
     hist_flat = p.tgt_embeddings[hist].reshape(phi.shape[0], -1)
     x0 = np.concatenate([phi, hist_flat], axis=1)
-    acts = []
-    a = x0
-    for w, b in p.hidden_layers:
-        a = sigmoid(a @ w.T + b)
-        acts.append(a)
-    return hist_flat, x0, acts
+    return x0, sigmoid_stack(x0, p.hidden_layers)
 
 
 def predict_forward_batch(
     phi: np.ndarray,
     hist: np.ndarray,
     p: JointModelParams,
-    dtype=np.float64,
 ) -> tuple[np.ndarray, PredictorCache]:
     """Log-probabilities over the target vocabulary for each batch row.
 
-    ``p`` must already be cast to ``dtype``. Rows of the result sum to one in
-    probability space by construction: the softmax is computed in log space
-    with a logsumexp normalizer.
+    Runs in the dtype of ``p``. Rows of the result sum to one in probability
+    space by construction: the softmax is computed in log space with a
+    logsumexp normalizer.
     """
-    hist_flat, x0, acts = _hidden_stack(phi, hist, p)
-    logits = (acts[-1] if acts else x0) @ p.softmax_w.T + p.softmax_b
+    x0, acts = _hidden_stack(phi, hist, p)
+    logits = acts[-1] @ p.softmax_w.T + p.softmax_b
     m = logits.max(axis=1, keepdims=True)
     log_norm = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    log_probs = logits - log_norm
-    cache = PredictorCache(
-        phi=phi, hist=hist, hist_flat=hist_flat, x0=x0,
-        hidden_acts=acts, log_probs=log_probs,
-    )
-    return log_probs, cache
+    return logits - log_norm, PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
 
 
 def predict_backward_batch(
@@ -293,18 +306,10 @@ def predict_backward_batch(
     the caller, which also owns the attention-path history gradient.
     """
     grads = {}
-    a_last = cache.hidden_acts[-1] if cache.hidden_acts else cache.x0
-    grads["softmax_w"] = dlogits.T @ a_last
+    grads["softmax_w"] = dlogits.T @ cache.hidden_acts[-1]
     grads["softmax_b"] = dlogits.sum(axis=0)
-    da = dlogits @ p.softmax_w
-    for i in range(len(p.hidden_layers) - 1, -1, -1):
-        w, _ = p.hidden_layers[i]
-        act = cache.hidden_acts[i]
-        prev = cache.x0 if i == 0 else cache.hidden_acts[i - 1]
-        dpre = da * act * (1.0 - act)
-        grads[f"hidden_{i}_w"] = dpre.T @ prev
-        grads[f"hidden_{i}_b"] = dpre.sum(axis=0)
-        da = dpre @ w
+    da = sigmoid_stack_backward(dlogits @ p.softmax_w, cache.x0, cache.hidden_acts,
+                                p.hidden_layers, "hidden", grads)
     repr_dim = cache.phi.shape[1]
     return grads, da[:, :repr_dim], da[:, repr_dim:]
 
@@ -313,19 +318,12 @@ def forward_batch(
     batch: SampleBatch,
     cfg: EncoderConfig,
     p: JointModelParams,
-    dtype=np.float64,
 ) -> tuple[np.ndarray, "enc.BatchCache", PredictorCache]:
-    """Full model forward: encoder then predictor, sharing one cast of ``p``.
-
-    ``p`` is used as it is when it is already in ``dtype``.
-    """
-    pc = cast_params(p, dtype)
-    hist = batch.hist if cfg.arch == "attention" else None
+    """Full model forward: encoder then predictor, in ``compute_params(p)``."""
+    pc = compute_params(p)
     phi, enc_cache = enc.forward_batch(
-        batch.ids, batch.aff_mask, batch.head_mask, hist,
-        cfg, pc.encoder, pc.tgt_embeddings, dtype=dtype,
-    )
-    log_probs, pred_cache = predict_forward_batch(phi, batch.hist, pc, dtype=dtype)
+        batch.ids, batch.aff_mask, batch.head_mask, batch.hist, cfg, pc)
+    log_probs, pred_cache = predict_forward_batch(phi, batch.hist, pc)
     return log_probs, enc_cache, pred_cache
 
 
@@ -352,31 +350,29 @@ def log_probs_batch(
     samples: Sequence[TrainingSample],
     cfg: EncoderConfig,
     p: JointModelParams,
-    minibatch: int = 512,
-    dtype=np.float64,
 ) -> np.ndarray:
     """Log-probability of each sample's target word.
 
-    ``p`` is cast to ``dtype`` once per call. The encoder runs once per
-    distinct encoder input and the hidden stack once per distinct (encoder
-    input, history) pair; ``minibatch`` bounds the rows either takes at once.
-    The softmax runs over blocks of ``SOFTMAX_BLOCK`` distinct rows, so the
-    samples-by-vocabulary log-probability matrix is never built.
+    Runs in ``compute_params(p)``, so float32 parameters are cast once per
+    call. The encoder runs once per distinct encoder input and the hidden
+    stack once per distinct (encoder input, history) pair; ``SCORE_ROWS``
+    bounds the rows either takes at once. The softmax runs over blocks of
+    ``SOFTMAX_BLOCK`` distinct rows, so the samples-by-vocabulary
+    log-probability matrix is never built.
     """
     out = np.empty(len(samples), dtype=np.float64)
     if not samples:
         return out
-    pc = cast_params(p, dtype)
+    pc = compute_params(p)
+    dtype = pc.softmax_w.dtype
     batch = SampleBatch.from_samples(samples, cfg)
     enc_first, enc_slot = _distinct_rows(_encoder_key(batch, cfg))
     phi = np.empty((len(enc_first), cfg.repr_dim), dtype=dtype)
-    for start in range(0, len(enc_first), minibatch):
-        rows = enc_first[start : start + minibatch]
+    for start in range(0, len(enc_first), SCORE_ROWS):
+        rows = enc_first[start : start + SCORE_ROWS]
         phi[start : start + len(rows)], _ = enc.forward_batch(
             batch.ids[rows], batch.aff_mask[rows], batch.head_mask[rows],
-            batch.hist[rows] if cfg.arch == "attention" else None,
-            cfg, pc.encoder, pc.tgt_embeddings, dtype=dtype,
-        )
+            batch.hist[rows], cfg, pc)
 
     pred_first, pred_slot = _distinct_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
@@ -387,10 +383,10 @@ def log_probs_batch(
     target_logit = np.empty(len(samples), dtype=dtype)
     log_norm = np.empty(len(pred_first), dtype=dtype)
     block = np.empty((SOFTMAX_BLOCK, pc.target_vocab_size), dtype=dtype)
-    for start in range(0, len(pred_first), minibatch):
-        rows = pred_first[start : start + minibatch]
-        _, x0, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
-        top = acts[-1] if acts else x0
+    for start in range(0, len(pred_first), SCORE_ROWS):
+        rows = pred_first[start : start + SCORE_ROWS]
+        _, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
+        top = acts[-1]
         for lo in range(0, len(rows), SOFTMAX_BLOCK):
             hi = min(lo + SOFTMAX_BLOCK, len(rows))
             logits = np.matmul(top[lo:hi], pc.softmax_w.T, out=block[: hi - lo])
@@ -411,10 +407,9 @@ def perplexity(
     samples: Iterable[TrainingSample],
     cfg: EncoderConfig,
     p: JointModelParams,
-    minibatch: int = 512,
 ) -> float:
     """Per-word perplexity exp(-mean log p) over a sample collection."""
-    lp = log_probs_batch(list(samples), cfg, p, minibatch=minibatch)
+    lp = log_probs_batch(list(samples), cfg, p)
     if lp.size == 0:
         raise ConfigError("perplexity of an empty sample set is undefined")
     return float(np.exp(-lp.mean()))

@@ -143,7 +143,7 @@ def score_nbest(
     """
     cfg = artifact.encoder_config
     needs_alignment = cfg.tag_bits > 0
-    params = jm.cast_params(artifact.params, np.float64)
+    params = jm.compute_params(artifact.params)
     entries: list[NBestEntry] = []
     samples: list[TrainingSample] = []
     counts: list[int] = []

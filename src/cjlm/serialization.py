@@ -167,6 +167,8 @@ def load_model(path) -> ModelArtifact:
             limit=int(header["target_vocab"]["limit"]),
         )
         provenance = header["provenance"]
+        expected = {spec.name: spec.shape for spec in
+                    param_spec(cfg, len(src_vocab), len(tgt_vocab), hidden_dims)}
     except (KeyError, TypeError, ValueError, ConfigError, CorpusError) as e:
         raise ModelFormatError(f"malformed header block: {e}") from None
 
@@ -189,8 +191,6 @@ def load_model(path) -> ModelArtifact:
     if reader.pos != len(data) - CHECKSUM_BYTES:
         raise ModelFormatError("trailing bytes after tensor block")
 
-    expected = {spec.name: spec.shape for spec in
-                param_spec(cfg, len(src_vocab), len(tgt_vocab), hidden_dims)}
     missing = sorted(expected.keys() - tensors.keys())
     if missing:
         raise ModelFormatError(f"missing tensor {missing[0]!r}")

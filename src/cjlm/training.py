@@ -5,10 +5,11 @@ backward pass composes the predictor and encoder gradients analytically; no
 autodiff framework is involved, so ``gradient_check`` verifies every parameter
 group against central finite differences computed in extended precision.
 
-Parameters are stored in float32 but every forward/backward runs in a caller
-chosen wider dtype (float64 for training, longdouble for the finite-difference
-oracle). The update rounds back to storage precision, which keeps training
-runs bit-reproducible for a fixed seed.
+Parameters are stored in float32, but every forward/backward runs in the
+promotion of the parameter dtype with float64 (``jointlm.compute_params``):
+float64 for training, longdouble for the finite-difference oracle, which
+passes longdouble parameters. The update rounds back to storage precision,
+which keeps training runs bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import encoder as enc
 from . import jointlm as jm
 from .corpus import TrainingSample
-from .encoder import PARAM_DTYPE, EncoderConfig
+from .encoder import INIT_SCALE, PARAM_DTYPE, EncoderConfig
 from .errors import ConfigError, TrainingDivergedError
 from .jointlm import DEFAULT_HIDDEN_DIMS, JointModelParams, SampleBatch
 from .vocab import PAD_ID
@@ -34,9 +35,10 @@ class TrainConfig:
     """Optimization settings; the minibatch default follows the reference setup.
 
     ``init_scale`` widens the uniform weight initialization. The conservative
-    0.08 default barely trains the deep encoder path on small corpora (the
-    gradient signal reaching the first convolution is orders of magnitude
-    weaker than at the softmax), so quick studies want something near 0.5.
+    default, ``encoder.INIT_SCALE``, barely trains the deep encoder path on
+    small corpora (the gradient signal reaching the first convolution is
+    orders of magnitude weaker than at the softmax), so quick studies want
+    something near 0.5.
     """
 
     learning_rate: float = 0.1
@@ -45,7 +47,7 @@ class TrainConfig:
     seed: int = 1
     lr_halving: bool = False
     grad_clip: float | None = None
-    init_scale: float = 0.08
+    init_scale: float = INIT_SCALE
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -105,10 +107,10 @@ class EpochMetrics:
         }
 
 
-def _loss_raw(batch: SampleBatch, cfg, params, dtype):
+def _loss_raw(batch: SampleBatch, cfg, params):
     # Returns a numpy scalar in the compute dtype; the finite-difference
     # oracle needs the longdouble value before any float64 rounding.
-    log_probs, _, _ = jm.forward_batch(batch, cfg, params, dtype=dtype)
+    log_probs, _, _ = jm.forward_batch(batch, cfg, params)
     picked = log_probs[np.arange(len(batch)), batch.targets]
     return -picked.mean()
 
@@ -117,18 +119,16 @@ def minibatch_loss(
     samples: Sequence[TrainingSample],
     cfg: EncoderConfig,
     params: JointModelParams,
-    dtype=np.float64,
 ) -> float:
     """Mean NLL of the gold targets over the samples."""
     batch = SampleBatch.from_samples(samples, cfg)
-    return float(_loss_raw(batch, cfg, params, dtype))
+    return float(_loss_raw(batch, cfg, params))
 
 
 def backward(
     batch: SampleBatch,
     cfg: EncoderConfig,
     params: JointModelParams,
-    dtype=np.float64,
 ) -> tuple[GradientStore, float]:
     """Exact gradients of the batch's mean NLL for every learnable tensor.
 
@@ -136,8 +136,8 @@ def backward(
     the attention arch, the guide-signal path. PAD embedding rows stay at
     zero gradient: they are constants of the model.
     """
-    pc = params.astype(dtype)  # one cast serves the forward and backward pass
-    log_probs, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc, dtype=dtype)
+    pc = jm.compute_params(params)  # one cast serves the forward and backward pass
+    log_probs, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc)
     n = len(batch)
     rows = np.arange(n)
     nll = float(-log_probs[rows, batch.targets].mean())
@@ -146,8 +146,7 @@ def backward(
     dlogits[rows, batch.targets] -= 1.0
     dlogits /= n
     pred_grads, dphi, dhist_pred = jm.predict_backward_batch(pred_cache, dlogits, pc)
-    enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc.encoder,
-                                               dtype=dtype)
+    enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc)
     dhist = dhist_pred if dhist_attn is None else dhist_pred + dhist_attn
     dtgt = np.zeros_like(pc.tgt_embeddings)
     np.add.at(dtgt, batch.hist.ravel(), dhist.reshape(-1, cfg.tgt_emb_dim))
@@ -336,7 +335,7 @@ def gradient_check(
         cfg, src_vocab_size, tgt_vocab_size, hidden_dims, rng
     ).astype(np.longdouble)
     batch = _check_batch(cfg, src_vocab_size, tgt_vocab_size, batch_size, rng)
-    grads, _ = backward(batch, cfg, params, dtype=np.longdouble)
+    grads, _ = backward(batch, cfg, params)
     eps = np.longdouble(epsilon)
     report: dict[str, float] = {}
     for name, tensor in params.tensors().items():
@@ -350,9 +349,9 @@ def gradient_check(
         for i in coords:
             original = flat[i]
             flat[i] = original + eps
-            up = _loss_raw(batch, cfg, params, dtype=np.longdouble)
+            up = _loss_raw(batch, cfg, params)
             flat[i] = original - eps
-            down = _loss_raw(batch, cfg, params, dtype=np.longdouble)
+            down = _loss_raw(batch, cfg, params)
             flat[i] = original
             fd = (up - down) / (2 * eps)
             a = analytic[i]

@@ -104,7 +104,7 @@ def reference_log_probs(sample, cfg, params):
     the hidden stack into a full softmax, in log space."""
     phi = reference_encode(
         sample.source_ids, sample.affiliated, sample.head_positions,
-        sample.history, cfg, params.encoder,
+        sample.history, cfg, params,
         tgt_embeddings=params.tgt_embeddings,
     )
     x = list(phi)

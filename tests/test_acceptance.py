@@ -119,8 +119,7 @@ def test_criterion_3_shape_law():
         cfg, 30, 30, rng=np.random.default_rng(0)).astype(np.float64)
     ids = np.array([(PAD_ID,) * 20 + tuple(range(4, 24))])
     no_tags = np.zeros_like(ids, dtype=bool)
-    phi, cache = encoder_forward_batch(ids, no_tags, no_tags, None, cfg,
-                                       params.encoder, None)
+    phi, cache = encoder_forward_batch(ids, no_tags, no_tags, None, cfg, params)
     locs = (cache.z1.shape[1], cache.z2.shape[1], cache.z3.shape[1])
     ok = locs == (38, 19, 17) and phi.shape == (1, 100)
     record_criterion(
@@ -136,6 +135,7 @@ TOY_TRAIN = TrainConfig(learning_rate=0.8, minibatch=50, epochs=50, seed=5,
                         init_scale=0.6)
 
 
+@pytest.mark.slow
 def test_criterion_4_tag_guide_efficacy():
     """On the pointer task the affiliation tag is the only route to the
     answer position: the tag arch must solve it and the generic arch must
@@ -161,6 +161,7 @@ def test_criterion_4_tag_guide_efficacy():
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_5_attention_guide_efficacy():
     """On the marker task the wanted position is a function of the target
     history; only the history-injection arch can reach it."""
@@ -188,6 +189,7 @@ def test_criterion_5_attention_guide_efficacy():
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_6_learning_sanity():
     """Every arch trained on the 500-pair chain corpus beats one fifth of
     the uniform-baseline perplexity on held-out pairs."""
@@ -258,6 +260,7 @@ def test_criterion_7_affiliation_oracle_equivalence():
     assert mismatches == 0
 
 
+@pytest.mark.slow
 def test_criterion_8_fusion_mode_parity():
     """Pooling fusion reaches at least 90 percent of gating accuracy on the
     long pointer task for top-k sizes 2, 4, and 8, and passes the same

@@ -33,19 +33,13 @@ def make_joint(cfg, vocab=12, seed=0):
                                        init_scale=0.5)
 
 
-def make_params(cfg, vocab=12, seed=0):
-    return make_joint(cfg, vocab, seed).encoder
-
-
 def encode_one(cfg, joint, ids, affiliated=(), heads=(), history=(2, 2, 2)):
     """``forward_batch`` on a batch of one sample: the phi row and the cache."""
     sample = TrainingSample(tuple(ids), frozenset(affiliated),
                             frozenset(heads), tuple(history), 4)
     batch = SampleBatch.from_samples([sample], cfg)
-    p = joint.astype(np.float64)
-    hist = batch.hist if cfg.arch == "attention" else None
-    phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask, hist,
-                               cfg, p.encoder, p.tgt_embeddings)
+    phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
+                               batch.hist, cfg, joint.astype(np.float64))
     return phi[0], cache
 
 
@@ -139,7 +133,7 @@ def test_conv1_width_includes_attention_prefix():
 @pytest.mark.parametrize("arch", ARCHS)
 def test_initialize_layout(arch):
     cfg = small_cfg(arch=arch)
-    params = make_params(cfg)
+    params = make_joint(cfg)
     assert params.src_embeddings.dtype == np.float32
     assert params.src_embeddings.shape == (12, cfg.emb_dim)
     assert np.all(params.src_embeddings[PAD_ID] == 0.0)
@@ -155,15 +149,15 @@ def test_initialize_layout(arch):
 
 def test_initialize_is_deterministic():
     cfg = small_cfg(arch="tag")
-    a = make_params(cfg, seed=3)
-    b = make_params(cfg, seed=3)
+    a = make_joint(cfg, seed=3)
+    b = make_joint(cfg, seed=3)
     for (na, ta), (nb, tb) in zip(a.tensors().items(), b.tensors().items()):
         assert na == nb
         assert np.array_equal(ta, tb)
 
 
 def test_pooling_fusion_has_no_gate_tensors():
-    params = make_params(small_cfg(fusion="pooling"))
+    params = make_joint(small_cfg(fusion="pooling"))
     assert params.gate_local_w is None
     assert not any("gate" in n for n in params.tensors())
 
@@ -180,7 +174,7 @@ def test_embed_source_tags_and_pad():
     assert np.all(rows[:7] == 0.0)  # PAD rows stay zero, tag columns included
     assert rows[8, -2] == 1.0 and rows[9, -2] == 0.0
     assert rows[7, -1] == 1.0 and rows[8, -1] == 0.0
-    assert np.array_equal(rows[7:, :-2], joint.encoder.src_embeddings[[4, 5, 6]])
+    assert np.array_equal(rows[7:, :-2], joint.src_embeddings[[4, 5, 6]])
 
 
 @pytest.mark.parametrize("arch", ["tag", "tag_dep"])
@@ -193,7 +187,7 @@ def test_guides_on_pad_positions_are_dropped(arch):
     aff, heads = {2, 6}, ({1, 7} if arch == "tag_dep" else set())
     phi, cache = encode_one(cfg, joint, ids, aff, heads)
     assert not cache.layer0[0, :5].any()
-    ref = reference_encode(ids, aff, heads, (2, 2, 2), cfg, joint.encoder)
+    ref = reference_encode(ids, aff, heads, (2, 2, 2), cfg, joint)
     assert np.allclose(phi, ref, atol=1e-12)
 
 
@@ -219,9 +213,9 @@ def test_convolve_hand_value():
     # row of each window: location t yields sigmoid(embedding at t + 1).
     cfg = small_cfg(emb_dim=1, filters1=1)
     joint = make_joint(cfg)
-    joint.encoder.src_embeddings[:, 0] = np.arange(12) - 4.0
-    joint.encoder.src_embeddings[PAD_ID] = 0.0
-    joint.encoder.conv1_w[...] = [[0.0, 1.0, 0.0]]
+    joint.src_embeddings[:, 0] = np.arange(12) - 4.0
+    joint.src_embeddings[PAD_ID] = 0.0
+    joint.conv1_w[...] = [[0.0, 1.0, 0.0]]
     _, cache = encode_one(cfg, joint, IDS)
     assert cache.z1.shape == (1, cfg.conv_locs1, 1)
     for t in range(cfg.conv_locs1):
@@ -234,10 +228,10 @@ def test_convolve_prefix_shifts_every_location():
     cfg = small_cfg(arch="attention")
     joint = make_joint(cfg)
     # Word columns zeroed: every window sees only the prefix.
-    joint.encoder.conv1_w[...] = 0.0
+    joint.conv1_w[...] = 0.0
     _, plain = encode_one(cfg, joint, IDS)
     assert np.allclose(plain.z1, 0.5, atol=1e-15)
-    joint.encoder.conv1_w[:, : cfg.prefix_dim] = 1.0
+    joint.conv1_w[:, : cfg.prefix_dim] = 1.0
     _, cache = encode_one(cfg, joint, IDS)
     shift = sig(float(cache.signal_acts[-1].sum()))
     assert np.allclose(cache.z1, shift, atol=1e-15)
@@ -254,12 +248,12 @@ def test_local_gate_is_convex_blend():
     assert np.all(cache.z2 >= np.minimum(z1e, z1o) - 1e-15)
     assert np.all(cache.z2 <= np.maximum(z1e, z1o) + 1e-15)
     # Zero gate input gives alpha exactly one half.
-    joint.encoder.gate_local_w[...] = 0.0
+    joint.gate_local_w[...] = 0.0
     _, half = encode_one(cfg, joint, IDS, {3, 4})
     assert np.all(half.alpha == 0.5)
     assert np.allclose(half.z2, (half.z1[:, 0::2] + half.z1[:, 1::2]) / 2,
                        atol=1e-15)
-    joint.encoder.gate_local_b[...] = 40.0
+    joint.gate_local_b[...] = 40.0
     _, high = encode_one(cfg, joint, IDS, {3, 4})
     assert np.allclose(high.z2, high.z1[:, 0::2], atol=1e-10)
 
@@ -275,7 +269,7 @@ def test_pool_local_elementwise_max():
 def test_global_gate_weights_normalize():
     cfg = small_cfg(maxlen=16)
     joint = make_joint(cfg, seed=4)
-    joint.encoder.gate_global_w[...] = np.random.default_rng(1).normal(
+    joint.gate_global_w[...] = np.random.default_rng(1).normal(
         scale=3.0, size=cfg.filters3)
     _, cache = encode_one(cfg, joint, IDS + (4, 5, 6, 7, 8, 9))
     omega = cache.omega
@@ -288,7 +282,7 @@ def test_global_gate_weights_normalize():
 def test_global_gate_uniform_for_zero_scores():
     cfg = small_cfg(maxlen=16)
     joint = make_joint(cfg)
-    joint.encoder.gate_global_w[...] = 0.0
+    joint.gate_global_w[...] = 0.0
     _, cache = encode_one(cfg, joint, IDS + (4, 5, 6, 7, 8, 9))
     assert np.allclose(cache.omega, 1.0 / cfg.conv_locs3, atol=1e-15)
 
@@ -306,11 +300,10 @@ def test_project_final_range_and_value():
     joint = make_joint(cfg)
     phi, cache = encode_one(cfg, joint, IDS)
     assert np.all((phi > 0) & (phi < 1))
-    p = joint.encoder
-    assert np.allclose(phi, [sig(v) for v in p.proj_w.astype(float) @ cache.z4[0]
-                             + p.proj_b], atol=1e-15)
-    p.proj_w[...] = 0.0
-    p.proj_b[...] = 1.0
+    assert np.allclose(phi, [sig(v) for v in joint.proj_w.astype(float) @ cache.z4[0]
+                             + joint.proj_b], atol=1e-15)
+    joint.proj_w[...] = 0.0
+    joint.proj_b[...] = 1.0
     phi, _ = encode_one(cfg, joint, IDS)
     assert np.allclose(phi, sig(1.0), atol=1e-15)
 
@@ -324,7 +317,7 @@ def test_attention_signal_depth_and_errors():
     assert all(np.all((a > 0) & (a < 1)) for a in cache.signal_acts)
     tgt = joint.tgt_embeddings.astype(float)
     x = np.concatenate([tgt[2], tgt[2], tgt[5]])
-    for (w, b), act in zip(joint.encoder.attn_layers, cache.signal_acts):
+    for (w, b), act in zip(joint.attn_layers, cache.signal_acts):
         x = np.array([sig(v) for v in w.astype(float) @ x + b])
         assert np.allclose(act[0], x, atol=1e-15)
     short = TrainingSample(IDS, frozenset(), frozenset(), (2, 2), 4)
@@ -353,7 +346,7 @@ def test_trace_replay_reproduces_phi():
     joint = make_joint(cfg)
     ids, aff, _, hist = sample_inputs(cfg, np.random.default_rng(3))
     phi, c = encode_one(cfg, joint, ids, aff, history=hist)
-    p = joint.astype(np.float64).encoder
+    p = joint.astype(np.float64)
     z2 = (c.alpha[..., None] * c.z1[:, 0::2]
           + (1.0 - c.alpha)[..., None] * c.z1[:, 1::2])
     assert np.array_equal(z2, c.z2)
@@ -370,10 +363,9 @@ def test_generic_arch_ignores_guides():
     ids = np.array([[4, 5, 6, 7, 8, 9, 10, 11, 4, 5]] * 3)
     masks = rng.random((2, 3, cfg.maxlen)) < 0.5
     hist = rng.integers(2, 12, size=(3, cfg.history))
-    with_guides, _ = forward_batch(ids, masks[0], masks[1], hist, cfg,
-                                   p.encoder, p.tgt_embeddings)
+    with_guides, _ = forward_batch(ids, masks[0], masks[1], hist, cfg, p)
     none = np.zeros((3, cfg.maxlen), dtype=bool)
-    without, _ = forward_batch(ids, none, none, None, cfg, p.encoder, None)
+    without, _ = forward_batch(ids, none, none, None, cfg, p)
     assert np.array_equal(with_guides, without)
 
 
@@ -398,7 +390,7 @@ def test_encode_matches_loop_oracle(arch, fusion):
         phi, _ = encode_one(cfg, joint, ids, aff, heads, hist)
         ref = reference_encode(
             ids, aff if cfg.tag_bits else set(), heads, hist, cfg,
-            joint.encoder, tgt_embeddings=joint.tgt_embeddings.astype(float),
+            joint, tgt_embeddings=joint.tgt_embeddings.astype(float),
         )
         assert np.allclose(phi, ref, atol=1e-12), f"trial {trial}"
 
@@ -422,12 +414,11 @@ def test_forward_batch_matches_encode(arch, fusion):
     batch = SampleBatch.from_samples(samples, cfg)
     p = joint.astype(np.float64)
     phis, _ = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
-                            batch.hist, cfg, p.encoder, p.tgt_embeddings,
-                            np.float64)
+                            batch.hist, cfg, p)
     for i, s in enumerate(samples):
         ref = reference_encode(
             s.source_ids, s.affiliated if cfg.tag_bits else set(),
-            s.head_positions, s.history, cfg, joint.encoder,
+            s.head_positions, s.history, cfg, joint,
             tgt_embeddings=joint.tgt_embeddings.astype(float),
         )
         assert np.allclose(phis[i], ref, atol=1e-12), f"sample {i}"

@@ -7,10 +7,12 @@ import pytest
 
 from cjlm.corpus import TrainingSample
 from cjlm.encoder import ARCHS, FUSIONS, EncoderConfig
+from cjlm import jointlm
 from cjlm.errors import ConfigError
 from cjlm.jointlm import (
     JointModelParams,
     SampleBatch,
+    compute_params,
     forward_batch,
     log_probs_batch,
     param_spec,
@@ -139,12 +141,13 @@ def test_matches_loop_oracle(arch):
 
 # --- batching and convenience wrappers -------------------------------------
 
-def test_log_probs_batch_chunking_invariance():
+def test_log_probs_batch_chunking_invariance(monkeypatch):
     cfg = small_cfg(arch="attention")
     p = make_joint(cfg, seed=6)
     samples = random_samples(cfg, 17, 8)
-    full = log_probs_batch(samples, cfg, p, minibatch=512)
-    chunked = log_probs_batch(samples, cfg, p, minibatch=3)
+    full = log_probs_batch(samples, cfg, p)
+    monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
+    chunked = log_probs_batch(samples, cfg, p)
     assert np.array_equal(full, chunked)
 
 
@@ -192,6 +195,22 @@ def test_astype_round_trip():
     p = make_joint(cfg)
     p64 = p.astype(np.float64)
     assert p64.softmax_w.dtype == np.float64
-    assert p64.encoder.conv1_w.dtype == np.float64
+    assert p64.conv1_w.dtype == np.float64
     back = p64.astype(np.float32)
     assert np.array_equal(back.softmax_w, p.softmax_w)
+
+
+def test_compute_params_promotes_with_float64():
+    # Float32 storage gets one float64 copy; float64 and longdouble
+    # parameters are used as they are, with no copy.
+    cfg = small_cfg(arch="attention")
+    p = make_joint(cfg)
+    p64 = compute_params(p)
+    assert p64 is not p
+    assert p.softmax_w.dtype == np.float32
+    for (name, t64), t in zip(p64.tensors().items(), p.tensors().values()):
+        assert t64.dtype == np.float64, name
+        assert np.array_equal(t64, t), name
+    assert compute_params(p64) is p64
+    wide = p.astype(np.longdouble)
+    assert compute_params(wide) is wide

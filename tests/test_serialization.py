@@ -1,6 +1,7 @@
 """Binary model files: round trips, determinism, corruption rejection."""
 
 import hashlib
+import json
 import os
 import struct
 
@@ -295,6 +296,27 @@ def test_rejects_extra_tensor(tmp_path):
     save_model(make_artifact(), path)
     _rewrite(path, lambda recs: recs + [("attn_9_b", np.zeros(6))])
     with pytest.raises(ModelFormatError, match="unexpected tensor 'attn_9_b'"):
+        load_model(path)
+
+
+def test_rejects_empty_hidden_stack(tmp_path):
+    # A self-consistent file with no hidden layers: the header lists none and
+    # the softmax reads the predictor input directly.
+    path = tmp_path / "m"
+    artifact = make_artifact()
+    save_model(artifact, path)
+    prefix, records = read_tensor_block(path.read_bytes())
+    header_start = len(MAGIC) + 4 + 8
+    header = json.loads(prefix[header_start:])
+    header["hidden_dims"] = []
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    prefix = prefix[: len(MAGIC) + 4] + struct.pack("<Q", len(encoded)) + encoded
+    cfg = artifact.encoder_config
+    in_dim = cfg.repr_dim + cfg.history * cfg.tgt_emb_dim
+    records = [(n, np.zeros((a.shape[0], in_dim)) if n == "softmax_w" else a)
+               for n, a in records if not n.startswith("hidden_")]
+    write_tensor_block(path, prefix, records)
+    with pytest.raises(ModelFormatError, match="hidden_dims must be a non-empty"):
         load_model(path)
 
 

@@ -164,8 +164,8 @@ def test_gradient_check_rejects_zero_epsilon():
 def test_gradient_check_catches_a_planted_bug(monkeypatch):
     real_backward = tr.backward
 
-    def corrupted(batch, cfg, params, dtype=np.float64):
-        grads, nll = real_backward(batch, cfg, params, dtype=dtype)
+    def corrupted(batch, cfg, params):
+        grads, nll = real_backward(batch, cfg, params)
         grads.tensors["conv1_w"] = grads.tensors["conv1_w"] + 1e-3
         return grads, nll
 
@@ -227,7 +227,7 @@ def test_train_keeps_pad_embeddings_zero():
     tc = TrainConfig(learning_rate=0.5, minibatch=5, epochs=2, seed=3,
                      init_scale=0.5)
     params, _ = train_model(samples, cfg, tc, 14, 14, hidden_dims=(6,))
-    assert np.all(params.encoder.src_embeddings[PAD_ID] == 0.0)
+    assert np.all(params.src_embeddings[PAD_ID] == 0.0)
     assert np.all(params.tgt_embeddings[PAD_ID] == 0.0)
 
 
@@ -287,7 +287,7 @@ def test_without_halving_rate_is_constant():
 def test_divergence_carries_checkpoint_and_epoch():
     cfg = check_cfg()
     params = make_joint(cfg)
-    params.encoder.src_embeddings[5, 0] = np.nan
+    params.src_embeddings[5, 0] = np.nan
     with pytest.raises(TrainingDivergedError, match=r"non-finite .*epoch 1") as exc:
         train(tiny_samples(cfg, 6, 14), cfg,
               TrainConfig(learning_rate=0.1, epochs=2), params)
