@@ -8,7 +8,7 @@ from .corpus import (
     AlignedSentencePair,
     ExtractionStats,
     TrainingSample,
-    compute_affiliation,
+    compute_affiliations,
     extract_corpus_samples,
     extract_samples,
     pad_source,
@@ -69,7 +69,7 @@ __all__ = [
     "Vocabulary",
     "backward",
     "build_vocabulary",
-    "compute_affiliation",
+    "compute_affiliations",
     "extract_corpus_samples",
     "extract_samples",
     "gradient_check",

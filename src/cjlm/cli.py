@@ -92,6 +92,8 @@ def _samples_from_pairs(pairs, src_vocab, tgt_vocab, cfg, emit_eos, stats=None):
 def _cmd_train(args) -> int:
     if args.ngram < 2:
         raise ConfigError("ngram must be at least 2")
+    if args.vocab_limit < 1:
+        raise ConfigError("vocab-limit must be at least 1")
     cfg = EncoderConfig(
         arch=args.arch,
         emb_dim=args.emb_dim,
@@ -229,8 +231,7 @@ def _cmd_score_nbest(args) -> int:
     if cfg.arch == "tag_dep":
         if args.heads is None:
             raise ConfigError("arch 'tag_dep' requires --heads")
-        with open(args.heads, encoding="utf-8") as f:
-            head_lines = f.read().splitlines()
+        head_lines = cp.read_lines(args.heads)
         if len(head_lines) != len(source_sentences):
             raise ConfigError(
                 f"heads file has {len(head_lines)} lines, source has "
@@ -306,6 +307,8 @@ def _add_inspect_parser(sub):
 
 
 def _cmd_inspect(args) -> int:
+    if args.histogram_bins < 1:
+        raise ConfigError("histogram-bins must be at least 1")
     artifact = load_model(args.model)
     cfg = artifact.encoder_config
     for f in dataclasses.fields(cfg):

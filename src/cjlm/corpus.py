@@ -1,15 +1,23 @@
 """Parallel corpus ingestion and training-sample extraction.
 
 Consumes pre-tokenized source/target text, word alignments in "i-j" pair
-format, and optional per-source-token dependency head indices. Produces one
-training sample per target word: padded source ids, the affiliated source
-positions for the predicted word, an optional set of head positions of those
-affiliated words, a fixed-length target history, and the gold next word.
+format, and optional per-source-token dependency head indices. Files split
+into lines only at ``\\n``, ``\\r`` and ``\\r\\n``; tokens split at any
+whitespace. Produces one training sample per target word: padded source ids,
+the affiliated source positions for the predicted word, an optional set of
+head positions of those affiliated words, a fixed-length target history, and
+the gold next word.
+
+Affiliation follows the NNJM of Devlin et al. (2014): an aligned target word
+owns its links, and an unaligned one inherits from the nearest aligned word,
+the right one on ties. ``compute_affiliations`` resolves a whole sentence at
+once, and ``extract_samples`` builds all of a sentence's samples in one pass.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -120,28 +128,31 @@ def parse_heads_line(line: str, source_len: int) -> tuple[int, ...]:
     return heads
 
 
-def compute_affiliation(
-    t: int, alignment: Iterable[tuple[int, int]], target_len: int
-) -> frozenset[int]:
-    """Source positions affiliated with target position ``t``.
+def compute_affiliations(
+    alignment: Iterable[tuple[int, int]], target_len: int
+) -> list[frozenset[int]]:
+    """Source positions affiliated with each of ``target_len`` target positions.
 
     An aligned target word owns all its aligned source positions. An unaligned
     word inherits from the closest aligned target word, preferring the right
     neighbor when left and right are equidistant.
     """
-    if not 0 <= t < target_len:
-        raise ValueError(f"target index {t} out of range for length {target_len}")
-    by_target: dict[int, set[int]] = {}
-    for s, j in alignment:
-        by_target.setdefault(j, set()).add(s)
-    if t in by_target:
-        return frozenset(by_target[t])
-    for dist in range(1, target_len):
-        if t + dist in by_target:
-            return frozenset(by_target[t + dist])
-        if t - dist in by_target:
-            return frozenset(by_target[t - dist])
-    raise UnalignableSentenceError("unalignable sentence: no target word is aligned")
+    owned: dict[int, set[int]] = {}
+    for s, t in alignment:
+        owned.setdefault(t, set()).add(s)
+    if not owned and target_len:
+        raise UnalignableSentenceError(
+            "unalignable sentence: no target word is aligned"
+        )
+    aligned = sorted(owned)
+    sources = [frozenset(owned[t]) for t in aligned]
+    affiliations = []
+    for t in range(target_len):
+        i = bisect_left(aligned, t)  # the nearest aligned position at or right of t
+        if i == len(aligned) or (i > 0 and t - aligned[i - 1] < aligned[i] - t):
+            i -= 1
+        affiliations.append(sources[i])
+    return affiliations
 
 
 def pad_source(ids: Sequence[int], maxlen: int, pad_id: int) -> tuple[int, ...]:
@@ -154,12 +165,8 @@ def pad_source(ids: Sequence[int], maxlen: int, pad_id: int) -> tuple[int, ...]:
 def _head_positions_of(affiliated_src, heads, offset):
     if heads is None:
         return frozenset()
-    out = set()
-    for s in affiliated_src:
-        h = heads[s]
-        if h != ROOT_HEAD:  # the root contributes no head position
-            out.add(h + offset)
-    return frozenset(out)
+    # The root contributes no head position.
+    return frozenset(heads[s] + offset for s in affiliated_src if heads[s] != ROOT_HEAD)
 
 
 def extract_samples(
@@ -178,66 +185,40 @@ def extract_samples(
     of the last target word. An empty target with ``emit_eos`` yields a single
     EOS sample with no affiliation (only meaningful when scoring hypotheses).
     ``with_guides=False`` skips affiliation entirely for encoders that ignore
-    it, so no alignment is needed.
+    it, so no alignment is needed; otherwise a non-empty target with no
+    aligned word raises ``UnalignableSentenceError``.
     """
     source_ids = pad_source(
         map_tokens(pair.source_tokens, src_vocab), maxlen, src_vocab.pad_id
     )
     offset = maxlen - len(pair.source_tokens)
-    target_ids = map_tokens(pair.target_tokens, tgt_vocab)
-    n_targets = len(target_ids)
-    bos = tgt_vocab.bos_id
-
-    def history_before(n):
-        past = target_ids[max(0, n - k) : n]
-        return (bos,) * (k - len(past)) + tuple(past)
-
-    samples = []
-    if n_targets == 0:
-        if emit_eos:
-            samples.append(
-                TrainingSample(
-                    source_ids=source_ids,
-                    affiliated=frozenset(),
-                    head_positions=frozenset(),
-                    history=(bos,) * k,
-                    target=tgt_vocab.eos_id,
-                )
+    words = map_tokens(pair.target_tokens, tgt_vocab)
+    targets = words + [tgt_vocab.eos_id] if emit_eos else words
+    history = [tgt_vocab.bos_id] * k + words
+    no_guides = (frozenset(), frozenset())
+    if with_guides and words:
+        guides = [
+            (
+                frozenset(s + offset for s in aff),
+                _head_positions_of(aff, pair.heads, offset),
             )
-        return samples
-
-    def guides(n):
-        if not with_guides:
-            return frozenset(), frozenset()
-        aff_src = compute_affiliation(n, pair.alignment, n_targets)
-        return (
-            frozenset(s + offset for s in aff_src),
-            _head_positions_of(aff_src, pair.heads, offset),
+            for aff in compute_affiliations(pair.alignment, len(words))
+        ]
+    else:
+        guides = [no_guides] * len(words)
+    guides.append(guides[-1] if guides else no_guides)  # the EOS event's guides
+    return [
+        TrainingSample(
+            source_ids=source_ids,
+            affiliated=affiliated,
+            head_positions=head_positions,
+            history=tuple(history[n : n + k]),
+            target=target,
         )
-
-    for n in range(n_targets):
-        affiliated, head_positions = guides(n)
-        samples.append(
-            TrainingSample(
-                source_ids=source_ids,
-                affiliated=affiliated,
-                head_positions=head_positions,
-                history=history_before(n),
-                target=target_ids[n],
-            )
+        for n, (target, (affiliated, head_positions)) in enumerate(
+            zip(targets, guides)
         )
-    if emit_eos:
-        affiliated, head_positions = guides(n_targets - 1)
-        samples.append(
-            TrainingSample(
-                source_ids=source_ids,
-                affiliated=affiliated,
-                head_positions=head_positions,
-                history=history_before(n_targets),
-                target=tgt_vocab.eos_id,
-            )
-        )
-    return samples
+    ]
 
 
 def extract_corpus_samples(
@@ -274,9 +255,15 @@ def extract_corpus_samples(
         yield from samples
 
 
-def read_token_lines(path) -> list[tuple[str, ...]]:
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 file, split only at ``\\n``, ``\\r`` and ``\\r\\n``."""
     with open(path, encoding="utf-8") as f:
-        return [tuple(line.split()) for line in f.read().splitlines()]
+        return [line.rstrip("\n") for line in f]
+
+
+def read_token_lines(path) -> list[tuple[str, ...]]:
+    """The whitespace-separated tokens of each line of ``read_lines``."""
+    return [tuple(line.split()) for line in read_lines(path)]
 
 
 def read_parallel_corpus(
@@ -290,10 +277,10 @@ def read_parallel_corpus(
     files = {
         "source": read_token_lines(source_path),
         "target": read_token_lines(target_path),
-        "alignment": read_token_lines(alignment_path),
+        "alignment": read_lines(alignment_path),
     }
     if heads_path is not None:
-        files["heads"] = read_token_lines(heads_path)
+        files["heads"] = read_lines(heads_path)
     n = len(files["source"])
     for name, lines in files.items():
         if len(lines) != n:
@@ -306,10 +293,10 @@ def read_parallel_corpus(
     for i in range(n):
         src = files["source"][i]
         try:
-            alignment = parse_alignment_line(" ".join(files["alignment"][i]))
+            alignment = parse_alignment_line(files["alignment"][i])
             heads = None
             if heads_path is not None:
-                heads = parse_heads_line(" ".join(files["heads"][i]), len(src))
+                heads = parse_heads_line(files["heads"][i], len(src))
             pairs.append(
                 AlignedSentencePair(
                     source_tokens=src,

@@ -330,6 +330,8 @@ def gradient_check(
     """
     if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
+    if max_coords_per_group < 1:
+        raise ConfigError("max_coords_per_group must be at least 1")
     rng = np.random.default_rng(seed)
     params = JointModelParams.initialize(
         cfg, src_vocab_size, tgt_vocab_size, hidden_dims, rng

@@ -7,7 +7,7 @@ two routes to the same quantity.
 
 import math
 
-from cjlm.corpus import UnalignableSentenceError
+from cjlm.corpus import TrainingSample, UnalignableSentenceError
 from cjlm.vocab import PAD_ID
 
 
@@ -140,11 +140,47 @@ def brute_force_affiliation(t, alignment, target_len):
     return None
 
 
+def reference_samples(pair, src_vocab, tgt_vocab, k, maxlen, emit_eos,
+                      with_guides):
+    """Per-event restatement of sample extraction on ``brute_force_affiliation``.
+
+    One event per target word, plus EOS with the last word's guides. The
+    history is the k words before the event, BOS before the sentence start;
+    guide positions are shifted by the left padding, and a root head adds no
+    head position. Raises ``UnalignableSentenceError`` when guides are wanted
+    for target words of which none is aligned.
+    """
+    offset = maxlen - len(pair.source_tokens)
+    source_ids = (PAD_ID,) * offset + tuple(src_vocab.id(w)
+                                            for w in pair.source_tokens)
+    words = [tgt_vocab.id(w) for w in pair.target_tokens]
+    events = list(enumerate(words))
+    if emit_eos:
+        events.append((len(words), tgt_vocab.eos_id))
+    samples = []
+    for n, target in events:
+        history = tuple(words[j] if j >= 0 else tgt_vocab.bos_id
+                        for j in range(n - k, n))
+        affiliated, head_positions = frozenset(), frozenset()
+        if with_guides and words:
+            sources = brute_force_affiliation(min(n, len(words) - 1),
+                                              pair.alignment, len(words))
+            if sources is None:
+                raise UnalignableSentenceError("no target word is aligned")
+            affiliated = frozenset(s + offset for s in sources)
+            if pair.heads is not None:
+                head_positions = frozenset(pair.heads[s] + offset for s in sources
+                                           if pair.heads[s] != -1)
+        samples.append(TrainingSample(source_ids, affiliated, head_positions,
+                                      history, target))
+    return samples
+
+
 def affiliation_or_none(t, alignment, target_len):
     """Library affiliation with the unalignable case mapped to None."""
-    from cjlm.corpus import compute_affiliation
+    from cjlm.corpus import compute_affiliations
 
     try:
-        return compute_affiliation(t, alignment, target_len)
+        return compute_affiliations(alignment, target_len)[t]
     except UnalignableSentenceError:
         return None

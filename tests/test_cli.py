@@ -199,6 +199,80 @@ def test_grad_check_rejects_bad_epsilon(capsys):
     assert "epsilon must be positive" in capsys.readouterr().err
 
 
+def assert_one_line_error(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("coords", ["0", "-1"])
+def test_grad_check_rejects_max_coords_below_one(coords, capsys):
+    code = cli(["grad-check", "--arch", "tag", "--fusion", "gating",
+                "--max-coords", coords])
+    assert code == 1
+    assert_one_line_error(capsys, "max_coords_per_group must be at least 1")
+
+
+def test_train_rejects_vocab_limit_below_one(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "m.cjlm"
+    assert cli(train_args(corpus_dir, out, extra=("--vocab-limit", "0"))) == 1
+    assert_one_line_error(capsys, "vocab-limit must be at least 1")
+    assert not out.exists()
+
+
+def test_inspect_rejects_histogram_bins_below_one(trained_model, capsys):
+    assert cli(["inspect", "--model", str(trained_model),
+                "--histogram-bins", "0"]) == 1
+    assert_one_line_error(capsys, "histogram-bins must be at least 1")
+
+
+def inline_separator(path, out, sep):
+    """Copy a text file with the first space of its first line replaced by
+    ``sep``, a line separator to ``str.splitlines`` but not to the reader."""
+    first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    out.write_text(first.replace(" ", sep, 1) + "\n" + rest, encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85"])
+def test_eval_ppl_splits_lines_only_at_newlines(corpus_dir, trained_model,
+                                                tmp_path, capsys, sep):
+    def eval_ppl(source):
+        code = cli([
+            "eval-ppl", "--model", str(trained_model), "--source", str(source),
+            "--target", str(corpus_dir / "held.tgt"),
+            "--alignment", str(corpus_dir / "held.aln"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out
+
+    source = inline_separator(corpus_dir / "held.src", tmp_path / "held.src", sep)
+    assert eval_ppl(source) == eval_ppl(corpus_dir / "held.src")
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x85"])
+def test_score_nbest_splits_lines_only_at_newlines(corpus_dir, trained_model,
+                                                   tmp_path, sep):
+    targets = (corpus_dir / "held.tgt").read_text().splitlines()
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text(
+        f"0 ||| {targets[0]} |||  ||| lm= -1.0 ||| -2.0\n"
+        f"1 ||| {targets[1]} |||  ||| lm= -1.5 ||| -2.5\n"
+    )
+
+    def score(source, out):
+        assert cli(["score-nbest", "--model", str(trained_model),
+                    "--source", str(source), "--nbest", str(nbest),
+                    "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    # Sentence 1 must be scored against line 2, not the rest of line 1.
+    source = inline_separator(corpus_dir / "held.src", tmp_path / "held.src", sep)
+    assert score(source, tmp_path / "a.nbest") == score(corpus_dir / "held.src",
+                                                        tmp_path / "b.nbest")
+
+
 def test_inspect_dumps_config_and_stats(trained_model, capsys):
     assert cli(["inspect", "--model", str(trained_model)]) == 0
     out = capsys.readouterr().out

@@ -4,21 +4,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjlm.corpus import (
+    ROOT_HEAD,
     AlignedSentencePair,
     ExtractionStats,
-    compute_affiliation,
+    compute_affiliations,
     extract_corpus_samples,
     extract_samples,
     pad_source,
     parse_alignment_line,
     parse_heads_line,
     read_parallel_corpus,
+    read_token_lines,
     validate_heads,
 )
 from cjlm.errors import CorpusError, ParseError, UnalignableSentenceError
 from cjlm.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocabulary
 
-from oracles import affiliation_or_none, brute_force_affiliation
+from oracles import affiliation_or_none, brute_force_affiliation, reference_samples
 
 
 # --- alignment lines -------------------------------------------------------
@@ -93,30 +95,25 @@ def test_heads_non_integer():
 
 def test_affiliation_aligned_word_owns_links():
     links = {(0, 0), (1, 0), (2, 1)}
-    assert compute_affiliation(0, links, 2) == frozenset({0, 1})
-    assert compute_affiliation(1, links, 2) == frozenset({2})
+    assert compute_affiliations(links, 2)[0] == frozenset({0, 1})
+    assert compute_affiliations(links, 2)[1] == frozenset({2})
 
 
 def test_affiliation_unaligned_inherits_nearest():
     links = {(4, 0), (7, 3)}
-    assert compute_affiliation(1, links, 4) == frozenset({4})
-    assert compute_affiliation(2, links, 4) == frozenset({7})
+    assert compute_affiliations(links, 4)[1] == frozenset({4})
+    assert compute_affiliations(links, 4)[2] == frozenset({7})
 
 
 def test_affiliation_prefers_right_on_tie():
     links = {(0, 0), (9, 2)}
     # Position 1 is equidistant from 0 and 2; the right neighbor wins.
-    assert compute_affiliation(1, links, 3) == frozenset({9})
-
-
-def test_affiliation_index_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        compute_affiliation(3, {(0, 0)}, 3)
+    assert compute_affiliations(links, 3)[1] == frozenset({9})
 
 
 def test_affiliation_unalignable():
     with pytest.raises(UnalignableSentenceError):
-        compute_affiliation(0, set(), 2)
+        compute_affiliations(set(), 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,7 +154,7 @@ def test_pair_validates_heads():
 
 # --- sample extraction -----------------------------------------------------
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def tiny_vocabs():
     src = build_vocabulary([["a", "b", "c"]], limit=10)
     tgt = build_vocabulary([["x", "y"]], limit=10)
@@ -265,6 +262,53 @@ def test_corpus_extraction_skips_and_counts(tiny_vocabs):
     assert stats.skipped_unalignable == 1
 
 
+@st.composite
+def head_trees(draw, n):
+    """A valid dependency tree over n tokens: each token's head comes earlier
+    in a random order whose first token is the root."""
+    order = draw(st.permutations(range(n)))
+    heads = [ROOT_HEAD] * n
+    for i in range(1, n):
+        heads[order[i]] = order[draw(st.integers(0, i - 1))]
+    return tuple(heads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extract_samples_matches_reference_loop(data, tiny_vocabs):
+    src_vocab, tgt_vocab = tiny_vocabs
+    nt = data.draw(st.integers(0, 8), label="target words")
+    ns = data.draw(st.integers(1, 8), label="source words")
+    links = frozenset()
+    if nt:
+        links = data.draw(st.frozensets(
+            st.tuples(st.integers(0, ns - 1), st.integers(0, nt - 1)),
+            max_size=ns * nt,
+        ), label="links")
+    heads = data.draw(st.none() | head_trees(ns), label="heads")
+    pair = AlignedSentencePair(
+        source_tokens=tuple(data.draw(st.lists(
+            st.sampled_from(("a", "b", "c", "oov")), min_size=ns, max_size=ns))),
+        target_tokens=tuple(data.draw(st.lists(
+            st.sampled_from(("x", "y", "oov")), min_size=nt, max_size=nt))),
+        alignment=links,
+        heads=heads,
+    )
+    args = dict(
+        k=data.draw(st.integers(1, 3), label="k"),
+        maxlen=ns + data.draw(st.integers(0, 3), label="padding"),
+        emit_eos=data.draw(st.booleans(), label="emit_eos"),
+        with_guides=data.draw(st.booleans(), label="with_guides"),
+    )
+    try:
+        expected = reference_samples(pair, src_vocab, tgt_vocab, **args)
+    except UnalignableSentenceError:
+        with pytest.raises(UnalignableSentenceError):
+            extract_samples(pair, src_vocab, tgt_vocab, **args)
+        return
+    assert extract_samples(pair, src_vocab, tgt_vocab, **args) == expected
+
+
 # --- parallel file reading -------------------------------------------------
 
 def write(path, lines):
@@ -301,6 +345,30 @@ def test_read_parallel_corpus_names_bad_line(tmp_path):
     with pytest.raises(CorpusError, match="line 2"):
         read_parallel_corpus(tmp_path / "src", tmp_path / "tgt",
                              tmp_path / "aln")
+
+
+def test_read_parallel_corpus_reports_file_column(tmp_path):
+    write(tmp_path / "src", ["a"])
+    write(tmp_path / "tgt", ["x"])
+    write(tmp_path / "aln", ["0-0\t\tjunk"])
+    with pytest.raises(CorpusError, match="line 1: .*'junk'.* at column 6$"):
+        read_parallel_corpus(tmp_path / "src", tmp_path / "tgt",
+                             tmp_path / "aln")
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_lines_split_only_at_newlines(tmp_path, sep):
+    # Other line separators stay inside the line and split tokens only.
+    (tmp_path / "src").write_text(f"a{sep}b\r\nc\rd\n", encoding="utf-8")
+    write(tmp_path / "tgt", ["x", "y", "x"])
+    write(tmp_path / "aln", ["1-0", "0-0", "0-0"])
+    (tmp_path / "heads").write_text(f"1{sep}-1\n-1\n-1\n", encoding="utf-8")
+    assert read_token_lines(tmp_path / "src") == [("a", "b"), ("c",), ("d",)]
+    pairs = read_parallel_corpus(tmp_path / "src", tmp_path / "tgt",
+                                 tmp_path / "aln", tmp_path / "heads")
+    assert [p.source_tokens for p in pairs] == [("a", "b"), ("c",), ("d",)]
+    assert pairs[0].heads == (1, -1)
 
 
 def test_read_parallel_corpus_link_bounds_checked(tmp_path):

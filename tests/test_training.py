@@ -161,6 +161,12 @@ def test_gradient_check_rejects_zero_epsilon():
         gradient_check(check_cfg(), epsilon=0.0)
 
 
+@pytest.mark.parametrize("coords", [0, -1])
+def test_gradient_check_rejects_max_coords_below_one(coords):
+    with pytest.raises(ConfigError, match="max_coords_per_group must be at least 1"):
+        gradient_check(check_cfg(), max_coords_per_group=coords)
+
+
 def test_gradient_check_catches_a_planted_bug(monkeypatch):
     real_backward = tr.backward
 
