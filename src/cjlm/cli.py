@@ -243,7 +243,7 @@ def _cmd_score_nbest(args) -> int:
         ]
     with open(args.nbest, encoding="utf-8") as f:
         annotated = nb.score_nbest(
-            artifact, source_sentences, f,
+            artifact, source_sentences, cp.iter_lines(f, args.nbest),
             heads=heads, feature_name=args.feature_name,
         )
         if args.output:

@@ -255,10 +255,19 @@ def extract_corpus_samples(
         yield from samples
 
 
+def iter_lines(f, path) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``f`` opened from ``path``, split only
+    at ``\\n``, ``\\r`` and ``\\r\\n``, read as they are consumed."""
+    try:
+        yield from (line.rstrip("\n") for line in f)
+    except UnicodeDecodeError as e:
+        raise CorpusError(f"{path} is not UTF-8 text ({e.reason})") from None
+
+
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 file, split only at ``\\n``, ``\\r`` and ``\\r\\n``."""
+    """All lines of the UTF-8 file at ``path``; see ``iter_lines``."""
     with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n") for line in f]
+        return list(iter_lines(f, path))
 
 
 def read_token_lines(path) -> list[tuple[str, ...]]:

@@ -45,13 +45,13 @@ PARAM_DTYPE = np.float32
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise: with e = exp(-|x|),
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in place."""
     x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -152,25 +152,29 @@ def sigmoid_stack(x: np.ndarray, layers) -> list[np.ndarray]:
     return acts
 
 
-def sigmoid_stack_backward(
-    da: np.ndarray,
-    x: np.ndarray,
-    acts: list[np.ndarray],
-    layers,
-    stack: str,
-    grads: dict[str, np.ndarray],
-) -> np.ndarray:
+def sigmoid_layer_backward(da: np.ndarray, x: np.ndarray, act: np.ndarray,
+                           name: str, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backward of ``act = sigmoid(x @ w.T + b)`` over any leading axes for
+    the gradient ``da`` of ``act``. Stores ``<name>_w``/``_b`` in ``grads``
+    and returns the pre-activation gradient; the input gradient is its ``@ w``.
+    """
+    dpre = da * act * (1.0 - act)
+    rows = dpre.reshape(-1, dpre.shape[-1])
+    grads[f"{name}_w"] = rows.T @ x.reshape(-1, x.shape[-1])
+    grads[f"{name}_b"] = rows.sum(axis=0)
+    return dpre
+
+
+def sigmoid_stack_backward(da: np.ndarray, x: np.ndarray, acts: list[np.ndarray],
+                           layers, stack: str,
+                           grads: dict[str, np.ndarray]) -> np.ndarray:
     """Backward of ``sigmoid_stack`` for the gradient ``da`` of its last
     activation. Stores ``<stack>_<i>_w``/``_b`` in ``grads`` and returns the
     gradient with respect to the input ``x``."""
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        act = acts[i]
         prev = x if i == 0 else acts[i - 1]
-        dpre = da * act * (1.0 - act)
-        grads[f"{stack}_{i}_w"] = dpre.T @ prev
-        grads[f"{stack}_{i}_b"] = dpre.sum(axis=0)
-        da = dpre @ w
+        dpre = sigmoid_layer_backward(da, prev, acts[i], f"{stack}_{i}", grads)
+        da = dpre @ layers[i][0]
     return da
 
 
@@ -197,9 +201,21 @@ class BatchCache:
     phi: np.ndarray = None
 
 
-def _windows(x: np.ndarray, out_locs: int) -> np.ndarray:
-    """Stack 3 consecutive location rows into one window row, batched."""
-    return np.concatenate([x[:, t : t + out_locs] for t in range(CONV_WINDOW)], axis=2)
+def _windows(x: np.ndarray, n: int, span: int = CONV_WINDOW,
+             step: int = 1) -> np.ndarray:
+    """``n`` batched window rows; window i joins rows ``i * step + t``, t < span."""
+    stop = step * (n - 1) + 1
+    return np.concatenate([x[:, t : t + stop : step] for t in range(span)], axis=2)
+
+
+def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.ndarray:
+    """Adjoint of ``_windows``: adds the window gradient into ``dx``, block t
+    in order of t, and returns ``dx``."""
+    n, width = dwin.shape[1], dx.shape[2]
+    stop = step * (n - 1) + 1
+    for t in range(dwin.shape[2] // width):
+        dx[:, t : t + stop : step] += dwin[:, :, t * width : (t + 1) * width]
+    return dx
 
 
 def forward_batch(
@@ -229,8 +245,7 @@ def forward_batch(
         rows = np.concatenate(cols, axis=2)
     layer0 = rows
 
-    n1 = cfg.conv_locs1
-    w1 = _windows(layer0, n1)
+    w1 = _windows(layer0, cfg.conv_locs1)
     cache = BatchCache(ids=ids, content_mask=content, layer0=layer0, windows1=w1)
 
     pre1 = w1 @ p.conv1_w[:, cfg.prefix_dim :].T + p.conv1_b
@@ -242,13 +257,9 @@ def forward_batch(
     z1 = sigmoid(pre1)
     cache.z1 = z1
 
-    n2 = cfg.fused_locs
     z1e, z1o = z1[:, 0::2], z1[:, 1::2]
     if cfg.fusion == "gating":
-        span = 2 * LOCAL_PAIR
-        gate_in = np.concatenate(
-            [layer0[:, t : t + 2 * n2 - 1 : 2] for t in range(span)], axis=2
-        )
+        gate_in = _windows(layer0, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
         alpha = sigmoid(gate_in @ p.gate_local_w + p.gate_local_b)
         z2 = alpha[..., None] * z1e + (1.0 - alpha)[..., None] * z1o
         cache.alpha, cache.gate_in = alpha, gate_in
@@ -258,8 +269,7 @@ def forward_batch(
         cache.take = take
     cache.z2 = z2
 
-    n3 = cfg.conv_locs3
-    w3 = _windows(z2, n3)
+    w3 = _windows(z2, cfg.conv_locs3)
     z3 = sigmoid(w3 @ p.conv3_w.T + p.conv3_b)
     cache.windows3, cache.z3 = w3, z3
 
@@ -293,11 +303,7 @@ def backward_batch(
     gradient because their zero rows are constants.
     """
     grads = {}
-    phi = cache.phi
-    dpre_phi = dphi * phi * (1.0 - phi)
-    grads["proj_w"] = dpre_phi.T @ cache.z4
-    grads["proj_b"] = dpre_phi.sum(axis=0)
-    dz4 = dpre_phi @ p.proj_w
+    dz4 = sigmoid_layer_backward(dphi, cache.z4, cache.phi, "proj", grads) @ p.proj_w
 
     z3 = cache.z3
     if cfg.fusion == "gating":
@@ -309,65 +315,43 @@ def backward_batch(
         grads["gate_global_w"] = np.einsum("bl,blf->f", dscores, z3)
         dz3 += dscores[..., None] * p.gate_global_w
     else:
+        # A feature's top-k locations are distinct: assignment is the scatter-add.
         dz3 = np.zeros_like(z3)
-        batch, pool_k, f3 = cache.top_idx.shape[0], cfg.pool_k, cfg.filters3
-        bidx = np.arange(batch)[:, None, None]
-        fidx = np.arange(f3)[None, None, :]
-        np.add.at(dz3, (bidx, cache.top_idx, fidx), (dz4 / pool_k)[:, None, :])
+        np.put_along_axis(dz3, cache.top_idx, (dz4 / cfg.pool_k)[:, None, :], axis=1)
 
-    dpre3 = dz3 * z3 * (1.0 - z3)
-    grads["conv3_w"] = np.einsum("blf,blw->fw", dpre3, cache.windows3)
-    grads["conv3_b"] = dpre3.sum(axis=(0, 1))
-    dw3 = dpre3 @ p.conv3_w
-    f1 = cfg.filters1
-    dz2 = np.zeros_like(cache.z2)
-    n3 = cfg.conv_locs3
-    for t in range(CONV_WINDOW):
-        dz2[:, t : t + n3] += dw3[:, :, t * f1 : (t + 1) * f1]
+    dpre3 = sigmoid_layer_backward(dz3, cache.windows3, z3, "conv3", grads)
+    dz2 = _windows_backward(dpre3 @ p.conv3_w, np.zeros_like(cache.z2))
 
     z1 = cache.z1
-    z1e, z1o = z1[:, 0::2], z1[:, 1::2]
+    dz1 = np.empty_like(z1)
     dlayer0 = np.zeros_like(cache.layer0)
-    n2 = cfg.fused_locs
     if cfg.fusion == "gating":
         alpha = cache.alpha
-        dz1 = np.empty_like(z1)
         dz1[:, 0::2] = alpha[..., None] * dz2
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
-        dalpha = np.einsum("blf,blf->bl", dz2, z1e - z1o)
+        dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
         du = dalpha * alpha * (1.0 - alpha)
         grads["gate_local_w"] = np.einsum("bl,blw->w", du, cache.gate_in)
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
-        dgate_in = du[..., None] * p.gate_local_w
-        d0 = cfg.input_dim
-        for t in range(2 * LOCAL_PAIR):
-            dlayer0[:, t : t + 2 * n2 - 1 : 2] += dgate_in[:, :, t * d0 : (t + 1) * d0]
+        _windows_backward(du[..., None] * p.gate_local_w, dlayer0, LOCAL_PAIR)
     else:
         take = cache.take
-        dz1 = np.empty_like(z1)
         dz1[:, 0::2] = np.where(take, dz2, 0.0)
         dz1[:, 1::2] = np.where(take, 0.0, dz2)
 
-    dpre1 = dz1 * z1 * (1.0 - z1)
-    word_w = p.conv1_w[:, cfg.prefix_dim :]
-    grads_conv1_word = np.einsum("blf,blw->fw", dpre1, cache.windows1)
-    grads["conv1_b"] = dpre1.sum(axis=(0, 1))
-    dw1 = dpre1 @ word_w
-    d0 = cfg.input_dim
-    n1 = cfg.conv_locs1
-    for t in range(CONV_WINDOW):
-        dlayer0[:, t : t + n1] += dw1[:, :, t * d0 : (t + 1) * d0]
+    # conv1_w here covers the word columns; the attention prefix joins below.
+    dpre1 = sigmoid_layer_backward(dz1, cache.windows1, z1, "conv1", grads)
+    _windows_backward(dpre1 @ p.conv1_w[:, cfg.prefix_dim :], dlayer0)
 
     dhist_flat = None
     if cfg.arch == "attention":
-        signal = cache.signal_acts[-1]
-        dsignal = np.einsum("blf,fp->bp", dpre1, p.conv1_w[:, : cfg.prefix_dim])
-        grads_conv1_prefix = np.einsum("blf,bp->fp", dpre1, signal)
-        grads["conv1_w"] = np.concatenate([grads_conv1_prefix, grads_conv1_word], axis=1)
+        # The signal enters every window of a sample alike.
+        dpre_signal = dpre1.sum(axis=1)
+        grads["conv1_w"] = np.concatenate(
+            [dpre_signal.T @ cache.signal_acts[-1], grads["conv1_w"]], axis=1)
         dhist_flat = sigmoid_stack_backward(
-            dsignal, cache.hist_flat, cache.signal_acts, p.attn_layers, "attn", grads)
-    else:
-        grads["conv1_w"] = grads_conv1_word
+            dpre_signal @ p.conv1_w[:, : cfg.prefix_dim], cache.hist_flat,
+            cache.signal_acts, p.attn_layers, "attn", grads)
 
     demb_rows = dlayer0[..., : cfg.emb_dim]
     demb = np.zeros_like(p.src_embeddings)

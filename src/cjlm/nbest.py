@@ -22,7 +22,7 @@ from .corpus import (
     extract_samples,
     parse_alignment_line,
 )
-from .errors import CorpusError, ParseError
+from .errors import ConfigError, CorpusError, ParseError
 from .serialization import ModelArtifact
 
 FIELD_SEPARATOR = "|||"
@@ -139,8 +139,13 @@ def score_nbest(
     are cast once per call, and each list is scored with one
     ``log_probs_batch`` call once the first line of the next list (or the end
     of ``nbest_lines``) is read, so memory holds one list. A line that fails
-    raises before any line of its list is yielded.
+    raises before any line of its list is yielded. A ``feature_name`` that
+    would not read back as one feature raises before any line is read.
     """
+    if (feature_name.split() != [feature_name] or "=" in feature_name
+            or FIELD_SEPARATOR in feature_name):
+        raise ConfigError(f"feature name {feature_name!r} must be non-empty and "
+                          f"contain no whitespace, '=' or {FIELD_SEPARATOR!r}")
     cfg = artifact.encoder_config
     needs_alignment = cfg.tag_bits > 0
     params = jm.compute_params(artifact.params)

@@ -115,11 +115,11 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ModelFormatError("truncated model file")
         out = self.data[self.pos : self.pos + n]
@@ -134,7 +134,7 @@ class _Reader:
 def load_model(path) -> ModelArtifact:
     """Read, validate, and reconstruct a saved model."""
     with open(path, "rb") as f:
-        data = f.read()
+        data = memoryview(f.read())
     if len(data) < len(MAGIC) + 4 + CHECKSUM_BYTES:
         raise ModelFormatError("truncated model file")
     reader = _Reader(data)
@@ -149,7 +149,7 @@ def load_model(path) -> ModelArtifact:
 
     header_len = reader.unpack("<Q")
     try:
-        header = json.loads(reader.take(header_len).decode("utf-8"))
+        header = json.loads(bytes(reader.take(header_len)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelFormatError(f"malformed header block: {e}") from None
     try:
@@ -176,7 +176,7 @@ def load_model(path) -> ModelArtifact:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = bytes(reader.take(name_len)).decode("utf-8")
         rank = reader.unpack("<B")
         shape = tuple(reader.unpack("<I") for _ in range(rank))
         n_items = int(np.prod(shape)) if shape else 1

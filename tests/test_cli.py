@@ -273,6 +273,51 @@ def test_score_nbest_splits_lines_only_at_newlines(corpus_dir, trained_model,
                                                         tmp_path / "b.nbest")
 
 
+@pytest.mark.parametrize("name", ["", "a b", "A|||B", "a=b"])
+def test_score_nbest_rejects_unreadable_feature_name(corpus_dir, trained_model,
+                                                     tmp_path, capsys, name):
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text("0 ||| t0 |||  ||| lm= -1.0 ||| -2.0\n")
+    assert cli(["score-nbest", "--model", str(trained_model),
+                "--source", str(corpus_dir / "held.src"), "--nbest", str(nbest),
+                "--feature-name", name]) == 1
+    assert_one_line_error(capsys, f"feature name {name!r} must be non-empty and "
+                                  f"contain no whitespace, '=' or '|||'")
+
+
+def latin1_copy(path, out):
+    """Copy a text file with a Latin-1 word (byte 0xe9) put in front."""
+    out.write_bytes(b"caf\xe9 " + path.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--source"), ("eval-ppl", "--source"),
+    ("score-nbest", "--source"), ("score-nbest", "--nbest"),
+])
+def test_non_utf8_input_is_one_line_error(corpus_dir, trained_model, tmp_path,
+                                          capsys, command, flag):
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text("0 ||| t0 |||  ||| lm= -1.0 ||| -2.0\n")
+    model = tmp_path / "m.cjlm"
+    args = {
+        "train": train_args(corpus_dir, model),
+        "eval-ppl": ["eval-ppl", "--model", str(trained_model),
+                     "--source", str(corpus_dir / "held.src"),
+                     "--target", str(corpus_dir / "held.tgt"),
+                     "--alignment", str(corpus_dir / "held.aln")],
+        "score-nbest": ["score-nbest", "--model", str(trained_model),
+                        "--source", str(corpus_dir / "held.src"),
+                        "--nbest", str(nbest)],
+    }[command]
+    i = args.index(flag) + 1
+    bad = latin1_copy(Path(args[i]), tmp_path / "bad.txt")
+    args[i] = str(bad)
+    assert cli(args) == 1
+    assert_one_line_error(capsys, f"{bad} is not UTF-8 text (invalid continuation byte)")
+    assert not model.exists()
+
+
 def test_inspect_dumps_config_and_stats(trained_model, capsys):
     assert cli(["inspect", "--model", str(trained_model)]) == 0
     out = capsys.readouterr().out

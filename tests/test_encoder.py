@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from cjlm.encoder import (
     ARCHS,
     EncoderConfig,
+    _windows,
+    _windows_backward,
     forward_batch,
     sigmoid,
+    sigmoid_layer_backward,
     softmax,
 )
 from cjlm.errors import ConfigError
@@ -75,6 +78,62 @@ def test_sigmoid_symmetry(x):
     v = sigmoid(np.array(x))
     assert 0.0 <= v <= 1.0
     assert np.isclose(v + sigmoid(np.array(-x)), 1.0, atol=1e-12)
+
+
+def two_branch_sigmoid(x):
+    """The textbook form: 1 / (1 + exp(-x)) for x >= 0, else exp(x) / (1 + exp(x))."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_sigmoid_is_bit_identical_to_two_branch_form(dtype):
+    rng = np.random.default_rng(16)
+    special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e300, -1e300]
+    x = np.concatenate([rng.normal(0.0, 4.0, 2_000_000), special]).astype(dtype)
+    out = sigmoid(x)
+    assert out.dtype == dtype
+    assert np.array_equal(out, two_branch_sigmoid(x))
+
+
+# --- backward kernels --------------------------------------------------------
+
+@pytest.mark.parametrize("span, step", [(3, 1), (4, 2)])
+def test_windows_backward_is_the_adjoint(span, step):
+    # <windows(x), g> == <x, windows_backward(g)>, and the adjoint adds into
+    # the array it is given.
+    rng = np.random.default_rng(10 * span + step)
+    for _ in range(20):
+        batch, n, width = (int(v) for v in rng.integers(1, 7, size=3))
+        locs = step * (n - 1) + span + int(rng.integers(0, 3))
+        x = rng.normal(size=(batch, locs, width))
+        win = _windows(x, n, span, step)
+        assert win.shape == (batch, n, span * width)
+        g = rng.normal(size=win.shape)
+        base = rng.normal(size=x.shape)
+        dx = _windows_backward(g, base.copy(), step) - base
+        assert np.isclose(np.sum(win * g), np.sum(x * dx), rtol=1e-12, atol=1e-12)
+
+
+def test_sigmoid_layer_backward_matches_einsum_form():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 11, 9))
+    w, b = rng.normal(size=(5, 9)), rng.normal(size=5)
+    act = sigmoid(x @ w.T + b)
+    da = rng.normal(size=act.shape)
+    grads = {}
+    dpre = sigmoid_layer_backward(da, x, act, "layer", grads)
+    expected = da * act * (1.0 - act)
+    assert np.array_equal(dpre, expected)
+    assert list(grads) == ["layer_w", "layer_b"]
+    np.testing.assert_allclose(grads["layer_w"],
+                               np.einsum("blf,blw->fw", expected, x), rtol=1e-12)
+    np.testing.assert_allclose(grads["layer_b"], expected.sum(axis=(0, 1)),
+                               rtol=1e-12)
 
 
 # --- configuration and the shape law --------------------------------------

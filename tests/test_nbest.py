@@ -7,7 +7,7 @@ import pytest
 
 from cjlm.corpus import extract_samples, AlignedSentencePair
 from cjlm.encoder import ARCHS, FUSIONS
-from cjlm.errors import CorpusError, ParseError
+from cjlm.errors import ConfigError, CorpusError, ParseError
 from cjlm.nbest import (
     DEFAULT_FEATURE_NAME,
     format_annotated_line,
@@ -132,6 +132,18 @@ def test_score_nbest_respects_custom_feature_name():
                           ["0 ||| t0 |||  ||| f= 1 ||| 0"],
                           feature_name="XL")
     assert " XL= " in line
+
+
+@pytest.mark.parametrize("name", ["", "a b", "XL\t", "A|||B", "a=b"])
+def test_score_nbest_rejects_unreadable_feature_name(name):
+    # Each of these would write a line that does not parse back to one feature.
+    def lines():
+        raise AssertionError("read a line before checking the feature name")
+        yield
+
+    artifact = make_artifact(arch="generic")
+    with pytest.raises(ConfigError, match="feature name"):
+        next(score_nbest(artifact, [("s0",)], lines(), feature_name=name))
 
 
 def test_score_nbest_requires_alignment_for_tag():
