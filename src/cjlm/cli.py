@@ -24,7 +24,7 @@ from . import jointlm as jm
 from . import nbest as nb
 from .encoder import ARCHS, FUSIONS, EncoderConfig
 from .errors import CjlmError, ConfigError
-from .serialization import ModelArtifact, load_model, save_model
+from .serialization import ModelArtifact, load_model, replacing, save_model
 from .training import TrainConfig, gradient_check, train_model
 from .vocab import build_vocabulary
 
@@ -247,7 +247,8 @@ def _cmd_score_nbest(args) -> int:
             heads=heads, feature_name=args.feature_name,
         )
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as out:
+            # A failing run leaves no partial file, and any previous one as it was.
+            with replacing(args.output, "w", encoding="utf-8") as out:
                 for line in annotated:
                     out.write(line + "\n")
         else:

@@ -180,12 +180,19 @@ def sigmoid_stack_backward(da: np.ndarray, x: np.ndarray, acts: list[np.ndarray]
 
 @dataclass
 class BatchCache:
-    """Everything the batched backward pass needs from the forward pass."""
+    """Everything the batched backward pass needs from the forward pass.
 
-    ids: np.ndarray
-    content_mask: np.ndarray
-    layer0: np.ndarray
+    The first layer is linear in the embedding rows, so its word-column terms
+    are computed once per distinct source row: ``src`` holds those rows,
+    sample i reads ``src[src_of[i]]``, and ``src_rows``, ``windows1`` and
+    ``gate_in`` are per source. The 0/1 tag columns, ``tags``, are per sample.
+    """
+
+    src: np.ndarray
+    src_of: np.ndarray
+    src_rows: np.ndarray
     windows1: np.ndarray
+    tags: np.ndarray | None = None
     hist_flat: np.ndarray | None = None
     signal_acts: list[np.ndarray] = field(default_factory=list)
     z1: np.ndarray = None
@@ -218,6 +225,34 @@ def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.nda
     return dx
 
 
+def _split_columns(w: np.ndarray, cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Word and tag columns of a weight over windows of layer-0 rows, whose
+    ``input_dim``-wide blocks hold the embedding and then the tag columns."""
+    lead = w.shape[:-1]
+    blocks = w.reshape(*lead, -1, cfg.input_dim)
+    return (blocks[..., : cfg.emb_dim].reshape(*lead, -1),
+            blocks[..., cfg.emb_dim :].reshape(*lead, -1))
+
+
+def _join_columns(word: np.ndarray, tag: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Inverse of ``_split_columns`` for a tag arch."""
+    lead = word.shape[:-1]
+    return np.concatenate([word.reshape(*lead, -1, cfg.emb_dim),
+                           tag.reshape(*lead, -1, cfg.tag_bits)],
+                          axis=-1).reshape(*lead, -1)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[-1])
+
+
+def _sum_per_source(x: np.ndarray, src_of: np.ndarray, n_src: int) -> np.ndarray:
+    """Per-sample rows of ``x`` summed per source, in sample order."""
+    order = np.argsort(src_of, kind="stable")
+    starts = np.searchsorted(src_of[order], np.arange(n_src))
+    return np.add.reduceat(x[order], starts, axis=0)
+
+
 def forward_batch(
     ids: np.ndarray,
     aff_mask: np.ndarray,
@@ -232,37 +267,46 @@ def forward_batch(
     dtype. Masks are boolean (batch, maxlen); ``hist`` is int (batch,
     history), read only by the attention arch, which embeds it with
     ``p.tgt_embeddings``.
+
+    The guides enter the first layer linearly, so the word-column terms of
+    conv1 and of the local gate run once per distinct row of ``ids``; each
+    sample adds its own tag-column and attention-signal terms.
     """
     batch = ids.shape[0]
-    content = ids != PAD_ID
-    rows = p.src_embeddings[ids]
-    rows[~content] = 0.0
+    src, src_of = np.unique(ids, axis=0, return_inverse=True)
+    src_of = src_of.reshape(-1)
+    src_rows = p.src_embeddings[src]
+    src_rows[src == PAD_ID] = 0.0
+    cache = BatchCache(src=src, src_of=src_of, src_rows=src_rows,
+                       windows1=_windows(src_rows, cfg.conv_locs1))
+
+    w_word, w_tag = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
+    pre1 = (cache.windows1 @ w_word.T)[src_of]
+    pre1 += p.conv1_b
     if cfg.tag_bits:
         # A PAD row is all zero, guide columns included.
-        cols = [rows, (aff_mask & content)[..., None].astype(rows.dtype)]
-        if cfg.arch == "tag_dep":
-            cols.append((head_mask & content)[..., None].astype(rows.dtype))
-        rows = np.concatenate(cols, axis=2)
-    layer0 = rows
-
-    w1 = _windows(layer0, cfg.conv_locs1)
-    cache = BatchCache(ids=ids, content_mask=content, layer0=layer0, windows1=w1)
-
-    pre1 = w1 @ p.conv1_w[:, cfg.prefix_dim :].T + p.conv1_b
+        guides = np.stack((aff_mask, head_mask)[: cfg.tag_bits], axis=2)
+        cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(pre1.dtype)
+        tag_win = _flat(_windows(cache.tags, cfg.conv_locs1))
+        pre1 += (tag_win @ w_tag.T).reshape(pre1.shape)
     if cfg.arch == "attention":
         cache.hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
         cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
         signal = cache.signal_acts[-1]
-        pre1 = pre1 + (signal @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
+        pre1 += (signal @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
     z1 = sigmoid(pre1)
     cache.z1 = z1
 
     z1e, z1o = z1[:, 0::2], z1[:, 1::2]
     if cfg.fusion == "gating":
-        gate_in = _windows(layer0, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
-        alpha = sigmoid(gate_in @ p.gate_local_w + p.gate_local_b)
+        g_word, g_tag = _split_columns(p.gate_local_w, cfg)
+        cache.gate_in = _windows(src_rows, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
+        u = (cache.gate_in @ g_word)[src_of]
+        if cfg.tag_bits:
+            u += _windows(cache.tags, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR) @ g_tag
+        alpha = sigmoid(u + p.gate_local_b)
         z2 = alpha[..., None] * z1e + (1.0 - alpha)[..., None] * z1o
-        cache.alpha, cache.gate_in = alpha, gate_in
+        cache.alpha = alpha
     else:
         take = z1e >= z1o
         z2 = np.where(take, z1e, z1o)
@@ -324,38 +368,53 @@ def backward_batch(
 
     z1 = cache.z1
     dz1 = np.empty_like(z1)
-    dlayer0 = np.zeros_like(cache.layer0)
+    n_src = len(cache.src)
+    dsrc_rows = np.zeros_like(cache.src_rows)
     if cfg.fusion == "gating":
         alpha = cache.alpha
         dz1[:, 0::2] = alpha[..., None] * dz2
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
         du = dalpha * alpha * (1.0 - alpha)
-        grads["gate_local_w"] = np.einsum("bl,blw->w", du, cache.gate_in)
+        du_src = _sum_per_source(du, cache.src_of, n_src)
+        g_word, _ = _split_columns(p.gate_local_w, cfg)
+        dg = du_src.reshape(-1) @ _flat(cache.gate_in)
+        if cfg.tag_bits:
+            tag_in = _windows(cache.tags, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
+            dg = _join_columns(dg, du.reshape(-1) @ _flat(tag_in), cfg)
+        grads["gate_local_w"] = dg
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
-        _windows_backward(du[..., None] * p.gate_local_w, dlayer0, LOCAL_PAIR)
+        _windows_backward(du_src[..., None] * g_word, dsrc_rows, LOCAL_PAIR)
     else:
         take = cache.take
         dz1[:, 0::2] = np.where(take, dz2, 0.0)
         dz1[:, 1::2] = np.where(take, 0.0, dz2)
 
-    # conv1_w here covers the word columns; the attention prefix joins below.
-    dpre1 = sigmoid_layer_backward(dz1, cache.windows1, z1, "conv1", grads)
-    _windows_backward(dpre1 @ p.conv1_w[:, cfg.prefix_dim :], dlayer0)
-
-    dhist_flat = None
+    # conv1: the bias, tag and prefix columns per sample, the word columns
+    # per source from the per-source sum of the pre-activation gradient.
+    dpre1 = dz1 * z1 * (1.0 - z1)
+    dpre1_src = _sum_per_source(dpre1, cache.src_of, n_src)
+    w_word, _ = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
+    dw1 = _flat(dpre1_src).T @ _flat(cache.windows1)
+    if cfg.tag_bits:
+        tag_win = _flat(_windows(cache.tags, cfg.conv_locs1))
+        dw1 = _join_columns(dw1, _flat(dpre1).T @ tag_win, cfg)
     if cfg.arch == "attention":
         # The signal enters every window of a sample alike.
         dpre_signal = dpre1.sum(axis=1)
-        grads["conv1_w"] = np.concatenate(
-            [dpre_signal.T @ cache.signal_acts[-1], grads["conv1_w"]], axis=1)
+        dw1 = np.concatenate([dpre_signal.T @ cache.signal_acts[-1], dw1], axis=1)
+    grads["conv1_w"] = dw1
+    grads["conv1_b"] = _flat(dpre1).sum(axis=0)
+    _windows_backward(dpre1_src @ w_word, dsrc_rows)
+
+    dhist_flat = None
+    if cfg.arch == "attention":
         dhist_flat = sigmoid_stack_backward(
             dpre_signal @ p.conv1_w[:, : cfg.prefix_dim], cache.hist_flat,
             cache.signal_acts, p.attn_layers, "attn", grads)
 
-    demb_rows = dlayer0[..., : cfg.emb_dim]
     demb = np.zeros_like(p.src_embeddings)
-    mask = cache.content_mask
-    np.add.at(demb, cache.ids[mask], demb_rows[mask])
+    content = cache.src != PAD_ID
+    np.add.at(demb, cache.src[content], dsrc_rows[content])
     grads["src_embeddings"] = demb
     return grads, dhist_flat

@@ -142,10 +142,14 @@ def backward(
     rows = np.arange(n)
     nll = float(-log_probs[rows, batch.targets].mean())
 
-    dlogits = np.exp(log_probs)
+    # The softmax gradient overwrites the log-probabilities, and neither is
+    # alive during the encoder backward.
+    dlogits = np.exp(log_probs, out=log_probs)
+    del log_probs
     dlogits[rows, batch.targets] -= 1.0
     dlogits /= n
     pred_grads, dphi, dhist_pred = jm.predict_backward_batch(pred_cache, dlogits, pc)
+    del dlogits, pred_cache
     enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc)
     dhist = dhist_pred if dhist_attn is None else dhist_pred + dhist_attn
     dtgt = np.zeros_like(pc.tgt_embeddings)

@@ -11,6 +11,7 @@ import cjlm
 from cjlm.cli import cli
 from cjlm.serialization import load_model
 
+from test_serialization import non_utf8_name_copy
 from toytasks import chain_pairs
 
 
@@ -316,6 +317,49 @@ def test_non_utf8_input_is_one_line_error(corpus_dir, trained_model, tmp_path,
     assert cli(args) == 1
     assert_one_line_error(capsys, f"{bad} is not UTF-8 text (invalid continuation byte)")
     assert not model.exists()
+
+
+def test_inspect_non_utf8_tensor_name_is_one_line_error(trained_model, tmp_path,
+                                                       capsys):
+    bad = non_utf8_name_copy(trained_model, tmp_path / "bad.cjlm")
+    assert cli(["inspect", "--model", str(bad)]) == 1
+    assert_one_line_error(
+        capsys, "malformed tensor name b'\\xe9rc_embeddings': not UTF-8")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("failure", ["feature-name", "overlong-source"])
+def test_failed_score_nbest_leaves_output_as_it_was(corpus_dir, trained_model,
+                                                    tmp_path, capsys, failure,
+                                                    existing):
+    # Sentence 1 is longer than the model's maxlen of 10, so the run fails
+    # after sentence 0's list has been scored.
+    source = tmp_path / "src.txt"
+    first = (corpus_dir / "held.src").read_text().splitlines()[0]
+    source.write_text(first + "\n" + " ".join(["w"] * 11) + "\n")
+    targets = (corpus_dir / "held.tgt").read_text().splitlines()
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text(f"0 ||| {targets[0]} |||  ||| lm= -1.0 ||| -2.0\n" * 3
+                     + f"1 ||| {targets[1]} |||  ||| lm= -1.5 ||| -2.5\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "o.nbest"
+    if existing:
+        out.write_text("previous\n")
+    args = ["score-nbest", "--model", str(trained_model), "--source", str(source),
+            "--nbest", str(nbest), "--output", str(out)]
+    message = "n-best line 4 (sentence 1): "
+    if failure == "feature-name":
+        args += ["--feature-name", "a b"]
+        message = "feature name 'a b' must be non-empty"
+    assert cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert os.listdir(out_dir) == (["o.nbest"] if existing else [])
+    if existing:
+        assert out.read_text() == "previous\n"
 
 
 def test_inspect_dumps_config_and_stats(trained_model, capsys):

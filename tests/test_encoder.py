@@ -9,6 +9,7 @@ from cjlm.encoder import (
     EncoderConfig,
     _windows,
     _windows_backward,
+    backward_batch,
     forward_batch,
     sigmoid,
     sigmoid_layer_backward,
@@ -44,6 +45,12 @@ def encode_one(cfg, joint, ids, affiliated=(), heads=(), history=(2, 2, 2)):
     phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
                                batch.hist, cfg, joint.astype(np.float64))
     return phi[0], cache
+
+
+def layer0(cache):
+    """Each sample's layer-0 rows: its source's embedding rows, then its tags."""
+    rows = cache.src_rows[cache.src_of]
+    return rows if cache.tags is None else np.concatenate([rows, cache.tags], axis=2)
 
 
 IDS = (PAD_ID, PAD_ID, 4, 5, 6, 7, 8, 9, 10, 11)
@@ -228,7 +235,7 @@ def test_embed_source_tags_and_pad():
     joint = make_joint(cfg)
     ids = (PAD_ID,) * 7 + (4, 5, 6)
     _, cache = encode_one(cfg, joint, ids, {8}, {7})
-    rows = cache.layer0[0]
+    rows = layer0(cache)[0]
     assert rows.shape == (10, cfg.emb_dim + 2)
     assert np.all(rows[:7] == 0.0)  # PAD rows stay zero, tag columns included
     assert rows[8, -2] == 1.0 and rows[9, -2] == 0.0
@@ -245,7 +252,7 @@ def test_guides_on_pad_positions_are_dropped(arch):
     ids = (PAD_ID,) * 5 + (4, 5, 6, 7, 8)
     aff, heads = {2, 6}, ({1, 7} if arch == "tag_dep" else set())
     phi, cache = encode_one(cfg, joint, ids, aff, heads)
-    assert not cache.layer0[0, :5].any()
+    assert not layer0(cache)[0, :5].any()
     ref = reference_encode(ids, aff, heads, (2, 2, 2), cfg, joint)
     assert np.allclose(phi, ref, atol=1e-12)
 
@@ -431,7 +438,7 @@ def test_generic_arch_ignores_guides():
 def test_empty_affiliation_is_legal_for_tag_archs():
     cfg = small_cfg(arch="tag")
     phi, cache = encode_one(cfg, make_joint(cfg), (4,) * 10)
-    assert cache.layer0[..., -1].sum() == 0.0
+    assert layer0(cache)[..., -1].sum() == 0.0
     assert phi.shape == (cfg.repr_dim,)
 
 
@@ -481,3 +488,80 @@ def test_forward_batch_matches_encode(arch, fusion):
             tgt_embeddings=joint.tgt_embeddings.astype(float),
         )
         assert np.allclose(phis[i], ref, atol=1e-12), f"sample {i}"
+
+
+def shared_source_batch(cfg, rng, n_src=3, n=11):
+    """``n`` samples over ``n_src`` sources, each source used several times
+    with its own guides and history, in shuffled order."""
+    sources = [sample_inputs(cfg, rng)[0] for _ in range(n_src)]
+    samples = []
+    for i in rng.permutation(n):
+        _, aff, heads, hist = sample_inputs(cfg, rng)
+        ids = sources[i % n_src]
+        aff = {j for j in aff if ids[j] != PAD_ID}
+        heads = {j for j in heads if ids[j] != PAD_ID}
+        samples.append(TrainingSample(
+            ids, frozenset(aff), frozenset(heads if cfg.arch == "tag_dep" else ()),
+            hist, 4))
+    return SampleBatch.from_samples(samples, cfg)
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", ["gating", "pooling"])
+def test_forward_batch_shares_each_source(arch, fusion):
+    # Each row of a batch with repeated sources equals the row encoded alone,
+    # as a batch of two copies: one row would take NumPy's matrix-vector
+    # path, whose sums differ in the last bits from the matrix product's.
+    # The tag columns are summed apart from the word columns, so the tag
+    # archs may move in the last bits; the others are bit-exact.
+    cfg = small_cfg(arch=arch, fusion=fusion)
+    p = make_joint(cfg, seed=5).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(21))
+    phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
+                               batch.hist, cfg, p)
+    assert cache.windows1.shape[0] == 3
+    assert np.array_equal(cache.src[cache.src_of], batch.ids)
+    for i in range(len(batch)):
+        two = [i, i]
+        alone, _ = forward_batch(batch.ids[two], batch.aff_mask[two],
+                                 batch.head_mask[two], batch.hist[two], cfg, p)
+        if cfg.tag_bits:
+            assert rel_err(phi[i], alone[0]) <= 1e-12, i
+        else:
+            assert np.array_equal(phi[i], alone[0]), i
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", ["gating", "pooling"])
+def test_backward_batch_sums_per_sample_gradients(arch, fusion):
+    # Reference: the batch gradient is the sum of each sample's gradient, and
+    # a batch of one builds that sample's own conv1 and gate windows.
+    cfg = small_cfg(arch=arch, fusion=fusion)
+    p = make_joint(cfg, seed=6).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(22))
+    dphi = np.random.default_rng(23).normal(size=(len(batch), cfg.repr_dim))
+    args = (batch.ids, batch.aff_mask, batch.head_mask, batch.hist)
+    _, cache = forward_batch(*args, cfg, p)
+    grads, dhist = backward_batch(cache, dphi, cfg, p)
+    ref, ref_hist = {}, []
+    for i in range(len(batch)):
+        _, one = forward_batch(*(a[i : i + 1] for a in args), cfg, p)
+        g, h = backward_batch(one, dphi[i : i + 1], cfg, p)
+        for name, value in g.items():
+            ref[name] = ref.get(name, 0.0) + value
+        ref_hist.append(h)
+    assert list(grads) == list(ref)
+    for name, value in grads.items():
+        assert value.shape == ref[name].shape, name
+        assert rel_err(value, ref[name]) <= 1e-12, name
+    assert not grads["src_embeddings"][PAD_ID].any()
+    unused = np.setdiff1d(np.arange(p.src_embeddings.shape[0]), batch.ids)
+    assert not grads["src_embeddings"][unused].any()
+    if arch == "attention":
+        assert rel_err(dhist, np.concatenate(ref_hist)) <= 1e-12
+    else:
+        assert dhist is None

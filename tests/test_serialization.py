@@ -278,6 +278,26 @@ def test_model_file_format_is_pinned(tmp_path, arch, fusion):
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[arch, fusion]
 
 
+def non_utf8_name_copy(path, out):
+    """Copy a model file with the first byte of its first tensor name set to
+    0xe9 and the checksum recomputed."""
+    blob = bytearray(path.read_bytes())
+    prefix, _ = read_tensor_block(bytes(blob))
+    blob[len(prefix) + 4 + 2] = 0xE9  # after the tensor count and name length
+    blob[-CHECKSUM_BYTES:] = hashlib.sha256(
+        blob[:-CHECKSUM_BYTES]).digest()[:CHECKSUM_BYTES]
+    out.write_bytes(bytes(blob))
+    return out
+
+
+def test_rejects_non_utf8_tensor_name(tmp_path):
+    save_model(make_artifact(), tmp_path / "m")
+    path = non_utf8_name_copy(tmp_path / "m", tmp_path / "bad")
+    with pytest.raises(ModelFormatError, match=r"malformed tensor name "
+                       r"b'\\xe9rc_embeddings': not UTF-8"):
+        load_model(path)
+
+
 def _rewrite(path, edit):
     prefix, records = read_tensor_block(path.read_bytes())
     write_tensor_block(path, prefix, edit(records))
