@@ -76,10 +76,6 @@ def _add_train_parser(sub):
     p.set_defaults(func=_cmd_train)
 
 
-def _read_pairs(source, target, alignment, heads):
-    return cp.read_parallel_corpus(source, target, alignment, heads_path=heads)
-
-
 def _samples_from_pairs(pairs, src_vocab, tgt_vocab, cfg, emit_eos, stats=None):
     return list(
         cp.extract_corpus_samples(
@@ -118,7 +114,8 @@ def _cmd_train(args) -> int:
         grad_clip=args.grad_clip,
         init_scale=args.init_scale,
     )
-    pairs = _read_pairs(args.source, args.target, args.alignment, args.heads)
+    pairs = cp.read_parallel_corpus(args.source, args.target, args.alignment,
+                                    heads_path=args.heads)
     src_vocab = build_vocabulary((p.source_tokens for p in pairs), args.vocab_limit)
     tgt_vocab = build_vocabulary((p.target_tokens for p in pairs), args.vocab_limit)
     stats = cp.ExtractionStats()
@@ -136,8 +133,9 @@ def _cmd_train(args) -> int:
             )
         if cfg.arch == "tag_dep" and args.held_out_heads is None:
             raise ConfigError("arch 'tag_dep' requires --held-out-heads")
-        held_pairs = _read_pairs(args.held_out_source, args.held_out_target,
-                                 args.held_out_alignment, args.held_out_heads)
+        held_pairs = cp.read_parallel_corpus(
+            args.held_out_source, args.held_out_target, args.held_out_alignment,
+            heads_path=args.held_out_heads)
         held_out = _samples_from_pairs(held_pairs, src_vocab, tgt_vocab, cfg,
                                        args.emit_eos)
 
@@ -198,7 +196,8 @@ def _cmd_eval_ppl(args) -> int:
     cfg = artifact.encoder_config
     if cfg.arch == "tag_dep" and args.heads is None:
         raise ConfigError("arch 'tag_dep' requires --heads")
-    pairs = _read_pairs(args.source, args.target, args.alignment, args.heads)
+    pairs = cp.read_parallel_corpus(args.source, args.target, args.alignment,
+                                    heads_path=args.heads)
     samples = _samples_from_pairs(
         pairs, artifact.source_vocab, artifact.target_vocab, cfg,
         artifact.emit_eos,

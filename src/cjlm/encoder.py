@@ -184,12 +184,15 @@ class BatchCache:
 
     The first layer is linear in the embedding rows, so its word-column terms
     are computed once per distinct source row: ``src`` holds those rows,
-    sample i reads ``src[src_of[i]]``, and ``src_rows``, ``windows1`` and
+    sample i reads ``src[src_of[i]]``, ``src_order`` and ``src_starts`` list
+    each source's samples (``group_rows``), and ``src_rows``, ``windows1`` and
     ``gate_in`` are per source. The 0/1 tag columns, ``tags``, are per sample.
     """
 
     src: np.ndarray
     src_of: np.ndarray
+    src_order: np.ndarray
+    src_starts: np.ndarray
     src_rows: np.ndarray
     windows1: np.ndarray
     tags: np.ndarray | None = None
@@ -246,11 +249,23 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _sum_per_source(x: np.ndarray, src_of: np.ndarray, n_src: int) -> np.ndarray:
-    """Per-sample rows of ``x`` summed per source, in sample order."""
-    order = np.argsort(src_of, kind="stable")
-    starts = np.searchsorted(src_of[order], np.arange(n_src))
-    return np.add.reduceat(x[order], starts, axis=0)
+def group_rows(key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Group the equal rows of a 2-D non-negative int ``key``.
+
+    Returns ``first``, each group's first row; ``of``, each row's group; and
+    ``order`` and ``starts``: the rows of group g, in row order, are
+    ``order[starts[g]:starts[g + 1]]``. Groups follow the rows' lexicographic
+    order, found by one 1-D sort of each row's big-endian bytes.
+    """
+    rows = np.ascontiguousarray(key, dtype=">i8").view(f"V{8 * key.shape[1]}")[:, 0]
+    _, first, of = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(of, kind="stable")
+    return first, of, order, np.searchsorted(of[order], np.arange(len(first) + 1))
+
+
+def _group_sum(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Rows of ``x`` summed per ``group_rows`` group, each in row order."""
+    return np.add.reduceat(x[order], starts[:-1], axis=0)
 
 
 def forward_batch(
@@ -273,11 +288,12 @@ def forward_batch(
     sample adds its own tag-column and attention-signal terms.
     """
     batch = ids.shape[0]
-    src, src_of = np.unique(ids, axis=0, return_inverse=True)
-    src_of = src_of.reshape(-1)
+    first, src_of, src_order, src_starts = group_rows(ids)
+    src = ids[first]
     src_rows = p.src_embeddings[src]
     src_rows[src == PAD_ID] = 0.0
-    cache = BatchCache(src=src, src_of=src_of, src_rows=src_rows,
+    cache = BatchCache(src=src, src_of=src_of, src_order=src_order,
+                       src_starts=src_starts, src_rows=src_rows,
                        windows1=_windows(src_rows, cfg.conv_locs1))
 
     w_word, w_tag = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
@@ -368,7 +384,6 @@ def backward_batch(
 
     z1 = cache.z1
     dz1 = np.empty_like(z1)
-    n_src = len(cache.src)
     dsrc_rows = np.zeros_like(cache.src_rows)
     if cfg.fusion == "gating":
         alpha = cache.alpha
@@ -376,7 +391,7 @@ def backward_batch(
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
         du = dalpha * alpha * (1.0 - alpha)
-        du_src = _sum_per_source(du, cache.src_of, n_src)
+        du_src = _group_sum(du, cache.src_order, cache.src_starts)
         g_word, _ = _split_columns(p.gate_local_w, cfg)
         dg = du_src.reshape(-1) @ _flat(cache.gate_in)
         if cfg.tag_bits:
@@ -393,7 +408,7 @@ def backward_batch(
     # conv1: the bias, tag and prefix columns per sample, the word columns
     # per source from the per-source sum of the pre-activation gradient.
     dpre1 = dz1 * z1 * (1.0 - z1)
-    dpre1_src = _sum_per_source(dpre1, cache.src_of, n_src)
+    dpre1_src = _group_sum(dpre1, cache.src_order, cache.src_starts)
     w_word, _ = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
     dw1 = _flat(dpre1_src).T @ _flat(cache.windows1)
     if cfg.tag_bits:

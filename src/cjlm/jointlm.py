@@ -35,7 +35,7 @@ from .vocab import PAD_ID
 DEFAULT_HIDDEN_DIMS = (200,)
 # Rows per softmax block when only target log-probabilities are wanted.
 SOFTMAX_BLOCK = 32
-# Most rows the encoder or the hidden stack takes at once when scoring.
+# Most rows the encoder takes at once when scoring.
 SCORE_ROWS = 512
 
 # Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
@@ -327,13 +327,6 @@ def forward_batch(
     return log_probs, enc_cache, pred_cache
 
 
-def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First index of each distinct row of ``key``, and each row's slot."""
-    _, first, slot = np.unique(key, axis=0, return_index=True,
-                               return_inverse=True)
-    return first, slot.reshape(-1)
-
-
 def _encoder_key(batch: SampleBatch, cfg: EncoderConfig) -> np.ndarray:
     """The packed columns the encoder reads, one row per sample."""
     cols = [batch.ids]
@@ -351,22 +344,22 @@ def log_probs_batch(
     cfg: EncoderConfig,
     p: JointModelParams,
 ) -> np.ndarray:
-    """Log-probability of each sample's target word.
+    """Log-probability of each sample's target word, in the compute dtype.
 
-    Runs in ``compute_params(p)``, so float32 parameters are cast once per
-    call. The encoder runs once per distinct encoder input and the hidden
-    stack once per distinct (encoder input, history) pair; ``SCORE_ROWS``
-    bounds the rows either takes at once. The softmax runs over blocks of
-    ``SOFTMAX_BLOCK`` distinct rows, so the samples-by-vocabulary
-    log-probability matrix is never built.
+    Runs in ``compute_params(p)``: float32 parameters are cast once per call,
+    and the result is float64, or longdouble for longdouble parameters. The
+    encoder runs once per distinct encoder input, ``SCORE_ROWS`` rows at a
+    time. Each block of ``SOFTMAX_BLOCK`` distinct (encoder input, history)
+    rows then runs the hidden stack, the logits and the normalizer, so the
+    samples-by-vocabulary log-probability matrix is never built.
     """
-    out = np.empty(len(samples), dtype=np.float64)
-    if not samples:
-        return out
     pc = compute_params(p)
     dtype = pc.softmax_w.dtype
+    out = np.empty(len(samples), dtype=dtype)
+    if not samples:
+        return out
     batch = SampleBatch.from_samples(samples, cfg)
-    enc_first, enc_slot = _distinct_rows(_encoder_key(batch, cfg))
+    enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
     phi = np.empty((len(enc_first), cfg.repr_dim), dtype=dtype)
     for start in range(0, len(enc_first), SCORE_ROWS):
         rows = enc_first[start : start + SCORE_ROWS]
@@ -374,32 +367,21 @@ def log_probs_batch(
             batch.ids[rows], batch.aff_mask[rows], batch.head_mask[rows],
             batch.hist[rows], cfg, pc)
 
-    pred_first, pred_slot = _distinct_rows(
+    first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
-    # Samples sorted by predictor row: those of rows [i, j) are
-    # by_row[bounds[i]:bounds[j]].
-    by_row = np.argsort(pred_slot, kind="stable")
-    bounds = np.searchsorted(pred_slot[by_row], np.arange(len(pred_first) + 1))
-    target_logit = np.empty(len(samples), dtype=dtype)
-    log_norm = np.empty(len(pred_first), dtype=dtype)
     block = np.empty((SOFTMAX_BLOCK, pc.target_vocab_size), dtype=dtype)
-    for start in range(0, len(pred_first), SCORE_ROWS):
-        rows = pred_first[start : start + SCORE_ROWS]
+    for lo in range(0, len(first), SOFTMAX_BLOCK):
+        rows = first[lo : lo + SOFTMAX_BLOCK]
         _, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
-        top = acts[-1]
-        for lo in range(0, len(rows), SOFTMAX_BLOCK):
-            hi = min(lo + SOFTMAX_BLOCK, len(rows))
-            logits = np.matmul(top[lo:hi], pc.softmax_w.T, out=block[: hi - lo])
-            logits += pc.softmax_b
-            members = by_row[bounds[start + lo] : bounds[start + hi]]
-            target_logit[members] = logits[pred_slot[members] - (start + lo),
-                                           batch.targets[members]]
-            m = logits.max(axis=1, keepdims=True)
-            logits -= m
-            np.exp(logits, out=logits)
-            log_norm[start + lo : start + hi] = (
-                m + np.log(logits.sum(axis=1, keepdims=True)))[:, 0]
-    out[:] = target_logit - log_norm[pred_slot]
+        logits = np.matmul(acts[-1], pc.softmax_w.T, out=block[: len(rows)])
+        logits += pc.softmax_b
+        members = order[starts[lo] : starts[lo + len(rows)]]
+        at = slot[members] - lo
+        out[members] = logits[at, batch.targets[members]]
+        m = logits.max(axis=1, keepdims=True)
+        logits -= m
+        np.exp(logits, out=logits)
+        out[members] -= (m[:, 0] + np.log(logits.sum(axis=1)))[at]
     return out
 
 

@@ -50,16 +50,16 @@ class TrainConfig:
     init_scale: float = INIT_SCALE
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.minibatch < 1:
             raise ConfigError("minibatch must be at least 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError("grad_clip must be positive when set")
-        if not self.init_scale > 0:
-            raise ConfigError("init_scale must be positive")
+        if not 0 < self.init_scale <= float(np.finfo(PARAM_DTYPE).max):
+            raise ConfigError("init_scale must be positive and finite in float32")
 
 
 @dataclass
@@ -107,22 +107,13 @@ class EpochMetrics:
         }
 
 
-def _loss_raw(batch: SampleBatch, cfg, params):
-    # Returns a numpy scalar in the compute dtype; the finite-difference
-    # oracle needs the longdouble value before any float64 rounding.
-    log_probs, _, _ = jm.forward_batch(batch, cfg, params)
-    picked = log_probs[np.arange(len(batch)), batch.targets]
-    return -picked.mean()
-
-
 def minibatch_loss(
     samples: Sequence[TrainingSample],
     cfg: EncoderConfig,
     params: JointModelParams,
 ) -> float:
     """Mean NLL of the gold targets over the samples."""
-    batch = SampleBatch.from_samples(samples, cfg)
-    return float(_loss_raw(batch, cfg, params))
+    return float(-jm.log_probs_batch(samples, cfg, params).mean())
 
 
 def backward(
@@ -205,7 +196,8 @@ def train(
     """Shuffled minibatch SGD over the sample set, mutating ``params``.
 
     Raises TrainingDivergedError carrying the last end-of-epoch checkpoint and
-    the metrics so far when the loss or any gradient becomes non-finite.
+    the metrics so far when the loss, any gradient or, at an epoch's end, any
+    parameter is non-finite.
     """
     samples = list(samples)
     if not samples:
@@ -214,6 +206,11 @@ def train(
     lr = train_cfg.learning_rate
     best = math.inf
     checkpoint = params.astype(PARAM_DTYPE)
+
+    def diverged(message: str) -> TrainingDivergedError:
+        return TrainingDivergedError(f"{message} (epoch {epoch})",
+                                     checkpoint=checkpoint, metrics=list(metrics))
+
     for epoch in range(1, train_cfg.epochs + 1):
         started = time.perf_counter()
         order = shuffle_order(train_cfg.seed, epoch, len(samples))
@@ -224,19 +221,18 @@ def train(
             try:
                 grads, nll = backward(batch, cfg, params)
             except TrainingDivergedError as e:
-                raise TrainingDivergedError(
-                    f"{e.args[0]} (epoch {epoch})",
-                    checkpoint=checkpoint, metrics=list(metrics),
-                ) from e
+                raise diverged(e.args[0]) from e
             if not math.isfinite(nll):
-                raise TrainingDivergedError(
-                    f"non-finite loss (epoch {epoch})",
-                    checkpoint=checkpoint, metrics=list(metrics),
-                )
+                raise diverged("non-finite loss")
             assert not grads.tensors["src_embeddings"][PAD_ID].any()
             assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
             sgd_step(params, grads, lr, train_cfg.grad_clip)
             total += nll * len(idx)
+        # The last step, and embedding rows no later batch reads, can
+        # overflow the float32 storage after every check above.
+        for name, t in params.tensors().items():
+            if not np.isfinite(t).all():
+                raise diverged(f"non-finite parameter in tensor {name!r}")
         train_nll = total / len(samples)
         ppl = jm.perplexity(held_out, cfg, params) if held_out else None
         signal = ppl if ppl is not None else train_nll
@@ -284,7 +280,7 @@ def _check_batch(
     tgt_vocab_size: int,
     batch_size: int,
     rng: np.random.Generator,
-) -> SampleBatch:
+) -> list[TrainingSample]:
     # Content ids only (>= 4) so the reserved rows stay out of the random
     # histories; a PAD in a history would make the fixed PAD row behave like a
     # trainable input and break the zero-gradient contract under perturbation.
@@ -312,7 +308,7 @@ def _check_batch(
         )
         target = int(rng.integers(4, tgt_vocab_size))
         samples.append(TrainingSample(tuple(ids), aff, heads, history, target))
-    return SampleBatch.from_samples(samples, cfg)
+    return samples
 
 
 def gradient_check(
@@ -327,8 +323,9 @@ def gradient_check(
 ) -> dict[str, float]:
     """Max relative error of the analytic gradient per parameter group.
 
-    Central differences run in longdouble with the pinned step; the analytic
-    side comes from the same ``backward`` the trainer uses, so a broken
+    The analytic side comes from the same ``backward`` the trainer uses; the
+    central differences, in longdouble with the pinned step, read the loss
+    through ``jointlm.log_probs_batch``, a separate forward route. A broken
     gradient anywhere shows up as a group error orders of magnitude above the
     1e-4 acceptance bound.
     """
@@ -340,8 +337,8 @@ def gradient_check(
     params = JointModelParams.initialize(
         cfg, src_vocab_size, tgt_vocab_size, hidden_dims, rng
     ).astype(np.longdouble)
-    batch = _check_batch(cfg, src_vocab_size, tgt_vocab_size, batch_size, rng)
-    grads, _ = backward(batch, cfg, params)
+    samples = _check_batch(cfg, src_vocab_size, tgt_vocab_size, batch_size, rng)
+    grads, _ = backward(SampleBatch.from_samples(samples, cfg), cfg, params)
     eps = np.longdouble(epsilon)
     report: dict[str, float] = {}
     for name, tensor in params.tensors().items():
@@ -355,9 +352,9 @@ def gradient_check(
         for i in coords:
             original = flat[i]
             flat[i] = original + eps
-            up = _loss_raw(batch, cfg, params)
+            up = -jm.log_probs_batch(samples, cfg, params).mean()
             flat[i] = original - eps
-            down = _loss_raw(batch, cfg, params)
+            down = -jm.log_probs_batch(samples, cfg, params).mean()
             flat[i] = original
             fd = (up - down) / (2 * eps)
             a = analytic[i]

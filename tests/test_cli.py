@@ -221,6 +221,31 @@ def test_train_rejects_vocab_limit_below_one(corpus_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--init-scale", "inf"), "init_scale must be positive and finite in float32"),
+    (("--init-scale", "1e308"), "init_scale must be positive and finite in float32"),
+    (("--init-scale", "1e39", "--epochs", "0"),
+     "init_scale must be positive and finite in float32"),
+    (("--learning-rate", "inf"), "learning_rate must be positive and finite"),
+])
+def test_train_rejects_unusable_rate_or_init_scale(corpus_dir, tmp_path, capsys,
+                                                   flags, message):
+    out = tmp_path / "m.cjlm"
+    assert cli(train_args(corpus_dir, out, extra=flags)) == 1
+    assert_one_line_error(capsys, message)
+    assert not out.exists()
+
+
+def test_train_overflowing_last_step_writes_no_model(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "m.cjlm"
+    # One step, so only the epoch-end check sees the overflow.
+    flags = ("--learning-rate", "1e300", "--epochs", "1", "--minibatch", "1000")
+    assert cli(train_args(corpus_dir, out, extra=flags)) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: non-finite parameter")
+    assert not out.exists()
+
+
 def test_inspect_rejects_histogram_bins_below_one(trained_model, capsys):
     assert cli(["inspect", "--model", str(trained_model),
                 "--histogram-bins", "0"]) == 1

@@ -11,6 +11,7 @@ from cjlm.encoder import (
     _windows_backward,
     backward_batch,
     forward_batch,
+    group_rows,
     sigmoid,
     sigmoid_layer_backward,
     softmax,
@@ -65,6 +66,28 @@ def test_sigmoid_hand_values():
     assert sigmoid(np.array(-800.0)) == 0.0
     assert sigmoid(np.array(800.0)) == 1.0
     assert np.isfinite(sigmoid(np.array([-1e300, 1e300]))).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_rows_matches_row_unique(data):
+    cols = data.draw(st.sampled_from([1, 43]))
+    # A few distinct rows, drawn again and again, give duplicate rows.
+    values = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 2**62))
+    pool = data.draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                              min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=30))
+    key = np.array([pool[i] for i in picks], dtype=np.int64)
+    first, of, order, starts = group_rows(key)
+    _, want_first, want_of = np.unique(key, axis=0, return_index=True,
+                                       return_inverse=True)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(of, want_of.reshape(-1))
+    assert starts[0] == 0 and starts[-1] == len(key)
+    for g in range(len(first)):
+        members = order[starts[g] : starts[g + 1]]
+        assert np.array_equal(members, np.flatnonzero(of == g))
 
 
 def test_softmax_hand_value():

@@ -147,8 +147,23 @@ def test_log_probs_batch_chunking_invariance(monkeypatch):
     samples = random_samples(cfg, 17, 8)
     full = log_probs_batch(samples, cfg, p)
     monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
-    chunked = log_probs_batch(samples, cfg, p)
-    assert np.array_equal(full, chunked)
+    assert np.array_equal(full, log_probs_batch(samples, cfg, p))
+    # Not 1: numpy multiplies a one-row matrix on its matrix-vector path,
+    # which rounds differently from the matrix-matrix one.
+    for block in (2, 5):
+        monkeypatch.setattr(jointlm, "SOFTMAX_BLOCK", block)
+        assert np.array_equal(full, log_probs_batch(samples, cfg, p))
+
+
+@pytest.mark.parametrize("storage, compute", [
+    (np.float32, np.float64), (np.float64, np.float64),
+    (np.longdouble, np.longdouble)])
+def test_log_probs_batch_returns_the_compute_dtype(storage, compute):
+    cfg = small_cfg()
+    p = make_joint(cfg).astype(storage)
+    samples = random_samples(cfg, 5, 3)
+    assert log_probs_batch(samples, cfg, p).dtype == compute
+    assert log_probs_batch([], cfg, p).dtype == compute
 
 
 @pytest.mark.parametrize("arch", ARCHS)

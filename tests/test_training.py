@@ -46,16 +46,20 @@ def tiny_samples(cfg, n, seed, vocab=14):
 # --- configuration ---------------------------------------------------------
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError, match="learning_rate must be positive"):
-        TrainConfig(learning_rate=0.0)
+    for rate in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="learning_rate must be positive"):
+            TrainConfig(learning_rate=rate)
     with pytest.raises(ConfigError, match="minibatch must be at least 1"):
         TrainConfig(minibatch=0)
     with pytest.raises(ConfigError, match="epochs must be non-negative"):
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError, match="grad_clip must be positive"):
         TrainConfig(grad_clip=0.0)
-    with pytest.raises(ConfigError, match="init_scale must be positive"):
-        TrainConfig(init_scale=-0.1)
+    # The weights are drawn in float64 and stored in float32, where 1e39
+    # would overflow.
+    for scale in (-0.1, math.inf, 1e308, 1e39):
+        with pytest.raises(ConfigError, match="init_scale must be positive"):
+            TrainConfig(init_scale=scale)
 
 
 def test_epoch_metrics_line_and_provenance():
@@ -288,6 +292,21 @@ def test_without_halving_rate_is_constant():
                      init_scale=0.5)
     _, metrics = train_model(samples, cfg, tc, 14, 14, hidden_dims=(6,))
     assert all(m.learning_rate == 0.2 for m in metrics)
+
+
+def test_last_step_overflow_raises_with_the_previous_checkpoint():
+    # The loss and gradients of the one batch are finite; the step it takes
+    # overflows the float32 parameters.
+    cfg = check_cfg()
+    params = make_joint(cfg)
+    initial = params.astype(np.float32)
+    with pytest.raises(TrainingDivergedError,
+                       match=r"non-finite parameter .*epoch 1") as exc:
+        train(tiny_samples(cfg, 6, 14), cfg,
+              TrainConfig(learning_rate=1e300, epochs=1), params)
+    checkpoint = exc.value.checkpoint.tensors()
+    for name, t in initial.tensors().items():
+        assert np.array_equal(checkpoint[name], t), name
 
 
 def test_divergence_carries_checkpoint_and_epoch():
