@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .vocab import PAD_ID
 
 DEFAULT_HIDDEN_DIMS = (200,)
-# Rows per softmax block when only target log-probabilities are wanted.
+# Rows per block of the softmax normalizer, in training and in scoring.
 SOFTMAX_BLOCK = 32
 # Most rows the encoder takes at once when scoring.
 SCORE_ROWS = 512
@@ -275,6 +275,14 @@ def _hidden_stack(phi, hist, p):
     return x0, sigmoid_stack(x0, p.hidden_layers)
 
 
+def _log_normalizer(block: np.ndarray) -> np.ndarray:
+    """Each row's logsumexp; overwrites ``block`` with ``exp(block - rowmax)``."""
+    m = block.max(axis=1)
+    block -= m[:, None]
+    np.exp(block, out=block)
+    return m + np.log(block.sum(axis=1))
+
+
 def predict_forward_batch(
     phi: np.ndarray,
     hist: np.ndarray,
@@ -282,15 +290,20 @@ def predict_forward_batch(
 ) -> tuple[np.ndarray, PredictorCache]:
     """Log-probabilities over the target vocabulary for each batch row.
 
-    Runs in the dtype of ``p``. Rows of the result sum to one in probability
-    space by construction: the softmax is computed in log space with a
-    logsumexp normalizer.
+    Runs in the dtype of ``p``. The logits turn into the log-probabilities in
+    place, so the result is the one rows-by-vocabulary buffer; each row's
+    logsumexp normalizer comes from a copy of its ``SOFTMAX_BLOCK``-row
+    block. Rows sum to one in probability space by construction.
     """
     x0, acts = _hidden_stack(phi, hist, p)
-    logits = acts[-1] @ p.softmax_w.T + p.softmax_b
-    m = logits.max(axis=1, keepdims=True)
-    log_norm = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    return logits - log_norm, PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
+    logits = np.matmul(acts[-1], p.softmax_w.T)
+    logits += p.softmax_b
+    block = np.empty_like(logits[:SOFTMAX_BLOCK])
+    for lo in range(0, len(logits), SOFTMAX_BLOCK):
+        rows = logits[lo : lo + SOFTMAX_BLOCK]
+        np.copyto(block[: len(rows)], rows)
+        rows -= _log_normalizer(block[: len(rows)])[:, None]
+    return logits, PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
 
 
 def predict_backward_batch(
@@ -378,10 +391,7 @@ def log_probs_batch(
         members = order[starts[lo] : starts[lo + len(rows)]]
         at = slot[members] - lo
         out[members] = logits[at, batch.targets[members]]
-        m = logits.max(axis=1, keepdims=True)
-        logits -= m
-        np.exp(logits, out=logits)
-        out[members] -= (m[:, 0] + np.log(logits.sum(axis=1)))[at]
+        out[members] -= _log_normalizer(logits)[at]
     return out
 
 

@@ -161,7 +161,8 @@ def sgd_step(
     """In-place update p <- p - lr.g, with optional global-norm clipping.
 
     The subtraction runs in float64 and rounds back to the storage dtype, so
-    a zero learning rate is an exact no-op.
+    a zero learning rate is an exact no-op. An update that overflows the
+    storage leaves an infinity without a warning; ``train`` reports it.
     """
     scale = 1.0
     if grad_clip is not None:
@@ -175,8 +176,9 @@ def sgd_step(
             raise ConfigError(
                 f"gradient {name} has shape {g.shape}, parameter has {p.shape}"
             )
-        p[...] = (p.astype(np.float64) - step * np.asarray(g, dtype=np.float64)
-                  ).astype(p.dtype)
+        with np.errstate(over="ignore"):
+            np.subtract(p, step * np.asarray(g, dtype=np.float64), out=p,
+                        dtype=np.float64, casting="same_kind")
     return params
 
 

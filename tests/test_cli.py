@@ -241,8 +241,8 @@ def test_train_overflowing_last_step_writes_no_model(corpus_dir, tmp_path, capsy
     # One step, so only the epoch-end check sees the overflow.
     flags = ("--learning-rate", "1e300", "--epochs", "1", "--minibatch", "1000")
     assert cli(train_args(corpus_dir, out, extra=flags)) == 1
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: non-finite parameter")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite parameter")
     assert not out.exists()
 
 

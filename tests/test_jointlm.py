@@ -1,5 +1,6 @@
 """Joint predictor: normalization, oracle agreement, batching invariance."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,47 @@ def test_log_probs_batch_chunking_invariance(monkeypatch):
     for block in (2, 5):
         monkeypatch.setattr(jointlm, "SOFTMAX_BLOCK", block)
         assert np.array_equal(full, log_probs_batch(samples, cfg, p))
+
+
+def predictor_inputs(cfg, p, n, seed):
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-1, 1, (n, cfg.repr_dim)).astype(p.softmax_w.dtype)
+    hist = rng.integers(2, p.target_vocab_size, (n, cfg.history))
+    return phi, hist
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("block", [2, 5, jointlm.SOFTMAX_BLOCK])
+def test_predict_forward_matches_out_of_place_softmax(monkeypatch, dtype, block):
+    monkeypatch.setattr(jointlm, "SOFTMAX_BLOCK", block)
+    cfg = small_cfg()
+    p = make_joint(cfg, tgt_v=300, seed=3).astype(dtype)
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        phi, hist = predictor_inputs(cfg, p, n, seed=n)
+        _, acts = jointlm._hidden_stack(phi, hist, p)
+        logits = acts[-1] @ p.softmax_w.T + p.softmax_b
+        m = logits.max(axis=1, keepdims=True)
+        expected = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+        log_probs, _ = jointlm.predict_forward_batch(phi, hist, p)
+        assert log_probs.dtype == dtype
+        assert np.array_equal(log_probs, expected), n
+
+
+def test_predict_forward_holds_one_batch_by_vocabulary_buffer():
+    cfg = small_cfg()
+    rows, vocab = 64, 5000
+    p = make_joint(cfg, tgt_v=vocab).astype(np.float64)
+    phi, hist = predictor_inputs(cfg, p, rows, seed=1)
+    jointlm.predict_forward_batch(phi, hist, p)  # warm up lazy allocations
+    buffer = rows * vocab * 8
+    scratch = jointlm.SOFTMAX_BLOCK * vocab * 8
+    tracemalloc.start()
+    try:
+        jointlm.predict_forward_batch(phi, hist, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffer + scratch + 64 * 1024
 
 
 @pytest.mark.parametrize("storage, compute", [

@@ -115,6 +115,26 @@ def test_sgd_step_zero_like_rate_is_noop():
         assert np.array_equal(t, snapshot[name]), name
 
 
+@pytest.mark.parametrize("rate", [0.1, 1e-50, 1e300])
+def test_sgd_step_matches_the_float64_formula_bytewise(rate):
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-39, -1e-39,
+                        1.0, -1.5, 3e38, -3e38, 1e30], dtype=np.float32)
+    params = make_joint(check_cfg())
+    grads = {}
+    for name, t in params.tensors().items():
+        t[...] = rng.choice(special, t.shape)
+        grads[name] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 0.7, -2.5, 1e300],
+                                 t.shape)
+    with np.errstate(over="ignore"):
+        expected = {name: (t.astype(np.float64) - rate * grads[name]).astype(np.float32)
+                    for name, t in params.tensors().items()}
+    sgd_step(params, GradientStore(grads), learning_rate=rate)
+    for name, t in params.tensors().items():
+        assert t.tobytes() == expected[name].tobytes(), name
+
+
 def test_sgd_step_clips_by_global_norm():
     cfg = check_cfg()
     params = make_joint(cfg)
