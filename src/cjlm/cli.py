@@ -23,7 +23,7 @@ from . import corpus as cp
 from . import jointlm as jm
 from . import nbest as nb
 from .encoder import ARCHS, FUSIONS, EncoderConfig
-from .errors import CjlmError, ConfigError
+from .errors import CjlmError, ConfigError, CorpusError, ParseError
 from .serialization import ModelArtifact, load_model, replacing, save_model
 from .training import TrainConfig, gradient_check, train_model
 from .vocab import build_vocabulary
@@ -90,6 +90,10 @@ def _cmd_train(args) -> int:
         raise ConfigError("ngram must be at least 2")
     if args.vocab_limit < 1:
         raise ConfigError("vocab-limit must be at least 1")
+    orphans = [f"--held-out-{name}" for name in ("target", "alignment", "heads")
+               if getattr(args, f"held_out_{name}") is not None]
+    if args.held_out_source is None and orphans:
+        raise ConfigError(f"{', '.join(orphans)} needs --held-out-source")
     cfg = EncoderConfig(
         arch=args.arch,
         emb_dim=args.emb_dim,
@@ -125,7 +129,7 @@ def _cmd_train(args) -> int:
         raise ConfigError("no usable training samples after filtering")
 
     held_out = None
-    if args.held_out_source:
+    if args.held_out_source is not None:
         if not (args.held_out_target and args.held_out_alignment):
             raise ConfigError(
                 "--held-out-source needs --held-out-target and "
@@ -236,10 +240,12 @@ def _cmd_score_nbest(args) -> int:
                 f"heads file has {len(head_lines)} lines, source has "
                 f"{len(source_sentences)}"
             )
-        heads = [
-            cp.parse_heads_line(line, len(sent))
-            for line, sent in zip(head_lines, source_sentences)
-        ]
+        heads = []
+        for i, (line, sent) in enumerate(zip(head_lines, source_sentences), 1):
+            try:
+                heads.append(cp.parse_heads_line(line, len(sent)))
+            except (ParseError, CorpusError) as e:
+                raise CorpusError(f"heads line {i}: {e}") from e
     with open(args.nbest, encoding="utf-8") as f:
         annotated = nb.score_nbest(
             artifact, source_sentences, cp.iter_lines(f, args.nbest),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusError, ParseError, UnalignableSentenceError

@@ -185,8 +185,10 @@ class BatchCache:
     The first layer is linear in the embedding rows, so its word-column terms
     are computed once per distinct source row: ``src`` holds those rows,
     sample i reads ``src[src_of[i]]``, ``src_order`` and ``src_starts`` list
-    each source's samples (``group_rows``), and ``src_rows``, ``windows1`` and
-    ``gate_in`` are per source. The 0/1 tag columns, ``tags``, are per sample.
+    each source's samples (``group_rows``), and ``src_rows`` and the windows
+    of them that ``_guided_linear`` read for conv1 and the local gate,
+    ``windows1`` and ``gate_in``, are per source. The 0/1 tag columns,
+    ``tags``, are per sample.
     """
 
     src: np.ndarray
@@ -194,7 +196,7 @@ class BatchCache:
     src_order: np.ndarray
     src_starts: np.ndarray
     src_rows: np.ndarray
-    windows1: np.ndarray
+    windows1: np.ndarray = None
     tags: np.ndarray | None = None
     hist_flat: np.ndarray | None = None
     signal_acts: list[np.ndarray] = field(default_factory=list)
@@ -229,20 +231,11 @@ def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.nda
 
 
 def _split_columns(w: np.ndarray, cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Word and tag columns of a weight over windows of layer-0 rows, whose
-    ``input_dim``-wide blocks hold the embedding and then the tag columns."""
-    lead = w.shape[:-1]
-    blocks = w.reshape(*lead, -1, cfg.input_dim)
-    return (blocks[..., : cfg.emb_dim].reshape(*lead, -1),
-            blocks[..., cfg.emb_dim :].reshape(*lead, -1))
-
-
-def _join_columns(word: np.ndarray, tag: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    """Inverse of ``_split_columns`` for a tag arch."""
-    lead = word.shape[:-1]
-    return np.concatenate([word.reshape(*lead, -1, cfg.emb_dim),
-                           tag.reshape(*lead, -1, cfg.tag_bits)],
-                          axis=-1).reshape(*lead, -1)
+    """Views of the word and the tag columns, (rows, span, ``emb_dim``) and
+    (rows, span, ``tag_bits``), of a 2-D weight over windows of layer-0 rows,
+    whose ``input_dim``-wide blocks hold the embedding and then the tags."""
+    blocks = w.reshape(len(w), -1, cfg.input_dim)
+    return blocks[..., : cfg.emb_dim], blocks[..., cfg.emb_dim :]
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -266,6 +259,53 @@ def group_rows(key: np.ndarray) -> tuple[np.ndarray, ...]:
 def _group_sum(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Rows of ``x`` summed per ``group_rows`` group, each in row order."""
     return np.add.reduceat(x[order], starts[:-1], axis=0)
+
+
+def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
+                   span: int = CONV_WINDOW, step: int = 1,
+                   bias: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample ``_windows(layer0, n, span, step) @ w.T`` for a 2-D weight
+    over windows of layer-0 rows (a source embedding, then the sample's tag
+    columns), and the per-source embedding windows it read: the word columns
+    run once per distinct source, gathered by ``src_of``, the tag columns per
+    sample. ``bias`` joins the per-source word term ahead of the tag term;
+    that order fixes the result's rounding."""
+    w_word, w_tag = _split_columns(w, cfg)
+    windows = _windows(cache.src_rows, n, span, step)
+    out = (windows @ w_word.reshape(len(w), -1).T + bias)[cache.src_of]
+    if cfg.tag_bits:
+        tag_windows = _flat(_windows(cache.tags, n, span, step))
+        out += (tag_windows @ w_tag.reshape(len(w), -1).T).reshape(out.shape)
+    return out, windows
+
+
+def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, windows: np.ndarray,
+                            w: np.ndarray, cfg: EncoderConfig, dsrc_rows: np.ndarray,
+                            step: int = 1) -> np.ndarray:
+    """Adjoint of ``_guided_linear`` for its product's gradient ``dout`` and
+    the ``windows`` it returned: adds the embedding-row gradient into
+    ``dsrc_rows`` and returns ``w``'s gradient, the word columns from the
+    per-source sums of ``dout``, the tag columns from ``dout`` itself."""
+    dout_src = _group_sum(dout, cache.src_order, cache.src_starts)
+    dw = np.empty_like(w)
+    dw_word, dw_tag = _split_columns(dw, cfg)
+    dw_word[...] = (_flat(dout_src).T @ _flat(windows)).reshape(dw_word.shape)
+    if cfg.tag_bits:
+        tag_windows = _windows(cache.tags, dout.shape[1], dw_tag.shape[1], step)
+        dw_tag[...] = (_flat(dout).T @ _flat(tag_windows)).reshape(dw_tag.shape)
+    w_word, _ = _split_columns(w, cfg)
+    _windows_backward(dout_src @ w_word.reshape(len(w), -1), dsrc_rows, step)
+    return dw
+
+
+def embedding_grad(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Gradient of an embedding ``table`` whose rows ``table[ids]`` received
+    the gradients ``rows`` (shaped ``ids.shape + (dim,)``). The PAD row is a
+    constant of the model and gets none."""
+    grad = np.zeros_like(table)
+    content = ids != PAD_ID
+    np.add.at(grad, ids[content], rows[content])
+    return grad
 
 
 def forward_batch(
@@ -293,18 +333,14 @@ def forward_batch(
     src_rows = p.src_embeddings[src]
     src_rows[src == PAD_ID] = 0.0
     cache = BatchCache(src=src, src_of=src_of, src_order=src_order,
-                       src_starts=src_starts, src_rows=src_rows,
-                       windows1=_windows(src_rows, cfg.conv_locs1))
-
-    w_word, w_tag = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
-    pre1 = (cache.windows1 @ w_word.T)[src_of]
-    pre1 += p.conv1_b
+                       src_starts=src_starts, src_rows=src_rows)
     if cfg.tag_bits:
         # A PAD row is all zero, guide columns included.
         guides = np.stack((aff_mask, head_mask)[: cfg.tag_bits], axis=2)
-        cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(pre1.dtype)
-        tag_win = _flat(_windows(cache.tags, cfg.conv_locs1))
-        pre1 += (tag_win @ w_tag.T).reshape(pre1.shape)
+        cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(src_rows.dtype)
+
+    pre1, cache.windows1 = _guided_linear(cache, p.conv1_w[:, cfg.prefix_dim :],
+                                          cfg, cfg.conv_locs1, bias=p.conv1_b)
     if cfg.arch == "attention":
         cache.hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
         cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
@@ -315,12 +351,9 @@ def forward_batch(
 
     z1e, z1o = z1[:, 0::2], z1[:, 1::2]
     if cfg.fusion == "gating":
-        g_word, g_tag = _split_columns(p.gate_local_w, cfg)
-        cache.gate_in = _windows(src_rows, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
-        u = (cache.gate_in @ g_word)[src_of]
-        if cfg.tag_bits:
-            u += _windows(cache.tags, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR) @ g_tag
-        alpha = sigmoid(u + p.gate_local_b)
+        u, cache.gate_in = _guided_linear(cache, p.gate_local_w[None], cfg,
+                                          cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
+        alpha = sigmoid(u[..., 0] + p.gate_local_b)
         z2 = alpha[..., None] * z1e + (1.0 - alpha)[..., None] * z1o
         cache.alpha = alpha
     else:
@@ -391,36 +424,24 @@ def backward_batch(
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
         du = dalpha * alpha * (1.0 - alpha)
-        du_src = _group_sum(du, cache.src_order, cache.src_starts)
-        g_word, _ = _split_columns(p.gate_local_w, cfg)
-        dg = du_src.reshape(-1) @ _flat(cache.gate_in)
-        if cfg.tag_bits:
-            tag_in = _windows(cache.tags, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
-            dg = _join_columns(dg, du.reshape(-1) @ _flat(tag_in), cfg)
-        grads["gate_local_w"] = dg
+        grads["gate_local_w"] = _guided_linear_backward(
+            cache, du[..., None], cache.gate_in, p.gate_local_w[None], cfg,
+            dsrc_rows, LOCAL_PAIR)[0]
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
-        _windows_backward(du_src[..., None] * g_word, dsrc_rows, LOCAL_PAIR)
     else:
         take = cache.take
         dz1[:, 0::2] = np.where(take, dz2, 0.0)
         dz1[:, 1::2] = np.where(take, 0.0, dz2)
 
-    # conv1: the bias, tag and prefix columns per sample, the word columns
-    # per source from the per-source sum of the pre-activation gradient.
     dpre1 = dz1 * z1 * (1.0 - z1)
-    dpre1_src = _group_sum(dpre1, cache.src_order, cache.src_starts)
-    w_word, _ = _split_columns(p.conv1_w[:, cfg.prefix_dim :], cfg)
-    dw1 = _flat(dpre1_src).T @ _flat(cache.windows1)
-    if cfg.tag_bits:
-        tag_win = _flat(_windows(cache.tags, cfg.conv_locs1))
-        dw1 = _join_columns(dw1, _flat(dpre1).T @ tag_win, cfg)
+    dw1 = _guided_linear_backward(cache, dpre1, cache.windows1,
+                                  p.conv1_w[:, cfg.prefix_dim :], cfg, dsrc_rows)
     if cfg.arch == "attention":
         # The signal enters every window of a sample alike.
         dpre_signal = dpre1.sum(axis=1)
         dw1 = np.concatenate([dpre_signal.T @ cache.signal_acts[-1], dw1], axis=1)
     grads["conv1_w"] = dw1
     grads["conv1_b"] = _flat(dpre1).sum(axis=0)
-    _windows_backward(dpre1_src @ w_word, dsrc_rows)
 
     dhist_flat = None
     if cfg.arch == "attention":
@@ -428,8 +449,5 @@ def backward_batch(
             dpre_signal @ p.conv1_w[:, : cfg.prefix_dim], cache.hist_flat,
             cache.signal_acts, p.attn_layers, "attn", grads)
 
-    demb = np.zeros_like(p.src_embeddings)
-    content = cache.src != PAD_ID
-    np.add.at(demb, cache.src[content], dsrc_rows[content])
-    grads["src_embeddings"] = demb
+    grads["src_embeddings"] = embedding_grad(p.src_embeddings, cache.src, dsrc_rows)
     return grads, dhist_flat

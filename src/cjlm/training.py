@@ -143,9 +143,8 @@ def backward(
     del dlogits, pred_cache
     enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc)
     dhist = dhist_pred if dhist_attn is None else dhist_pred + dhist_attn
-    dtgt = np.zeros_like(pc.tgt_embeddings)
-    np.add.at(dtgt, batch.hist.ravel(), dhist.reshape(-1, cfg.tgt_emb_dim))
-    dtgt[PAD_ID] = 0.0
+    dtgt = enc.embedding_grad(pc.tgt_embeddings, batch.hist,
+                              dhist.reshape(*batch.hist.shape, -1))
 
     grads = GradientStore({**enc_grads, **pred_grads, "tgt_embeddings": dtgt})
     grads.check_finite()

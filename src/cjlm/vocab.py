@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import CorpusError
 
@@ -24,26 +24,24 @@ UNK_ID, PAD_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bidirectional token/id map. ``tokens[i]`` is the surface form of id ``i``."""
+    """Bidirectional token/id map. ``tokens[i]`` is the surface form of id ``i``;
+    ``index`` maps each token back to its id."""
 
     tokens: tuple[str, ...]
     limit: int
-    index: dict[str, int] = field(compare=False, repr=False, default=None)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    unk_id: int = UNK_ID
-    pad_id: int = PAD_ID
-    bos_id: int = BOS_ID
-    eos_id: int = EOS_ID
+    unk_id: ClassVar[int] = UNK_ID
+    pad_id: ClassVar[int] = PAD_ID
+    bos_id: ClassVar[int] = BOS_ID
+    eos_id: ClassVar[int] = EOS_ID
 
     def __post_init__(self):
         if self.tokens[: len(RESERVED_TOKENS)] != RESERVED_TOKENS:
             raise CorpusError("vocabulary must start with the reserved tokens")
         if len(self.tokens) > self.limit + len(RESERVED_TOKENS):
             raise CorpusError("vocabulary exceeds its size limit")
-        if self.index is None:
-            object.__setattr__(
-                self, "index", {tok: i for i, tok in enumerate(self.tokens)}
-            )
+        object.__setattr__(self, "index", {tok: i for i, tok in enumerate(self.tokens)})
         if len(self.index) != len(self.tokens):
             raise CorpusError("duplicate token in vocabulary")
 

@@ -91,6 +91,27 @@ def test_train_with_held_out_reports_ppl(corpus_dir, tmp_path, capsys):
     assert "held_out_ppl=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["target", "alignment", "heads"])
+def test_train_rejects_held_out_flag_without_source(corpus_dir, tmp_path, capsys,
+                                                    name):
+    out = tmp_path / "model.cjlm"
+    code = cli(train_args(corpus_dir, out, extra=[
+        f"--held-out-{name}",
+        str(corpus_dir / {"target": "held.tgt", "alignment": "held.aln",
+                          "heads": "held.heads"}[name])]))
+    assert code == 1
+    assert_one_line_error(capsys, f"--held-out-{name} needs --held-out-source")
+    assert not out.exists()
+
+
+def test_train_rejects_empty_held_out_source(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "model.cjlm"
+    assert cli(train_args(corpus_dir, out, extra=["--held-out-source", ""])) == 1
+    assert_one_line_error(capsys, "--held-out-source needs --held-out-target and "
+                                  "--held-out-alignment")
+    assert not out.exists()
+
+
 def test_train_tag_dep_needs_heads_flag(corpus_dir, tmp_path, capsys):
     args = train_args(corpus_dir, tmp_path / "m", arch="tag_dep")
     i = args.index("--heads")
@@ -315,6 +336,28 @@ def latin1_copy(path, out):
     """Copy a text file with a Latin-1 word (byte 0xe9) put in front."""
     out.write_bytes(b"caf\xe9 " + path.read_bytes())
     return out
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0", "expected exactly one root head, found 0"),
+    ("x", "malformed heads line: invalid literal for int() with base 10: 'x'"),
+])
+def test_score_nbest_names_the_bad_heads_line(corpus_dir, tmp_path, capsys,
+                                              bad, message):
+    model = tmp_path / "m.cjlm"
+    assert cli(train_args(corpus_dir, model, arch="tag_dep")) == 0
+    heads = (corpus_dir / "held.heads").read_text().splitlines()
+    # Every token of source line 2 gets the same head.
+    heads[1] = " ".join(bad for _ in (corpus_dir / "held.src").read_text()
+                        .splitlines()[1].split())
+    (tmp_path / "bad.heads").write_text("\n".join(heads) + "\n")
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text("0 ||| t0 |||  ||| lm= -1.0 ||| -2.0\n")
+    capsys.readouterr()
+    assert cli(["score-nbest", "--model", str(model),
+                "--source", str(corpus_dir / "held.src"),
+                "--nbest", str(nbest), "--heads", str(tmp_path / "bad.heads")]) == 1
+    assert_one_line_error(capsys, f"heads line 2: {message}")
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cjlm.encoder import (
     ARCHS,
     EncoderConfig,
+    _guided_linear,
+    _guided_linear_backward,
     _windows,
     _windows_backward,
     backward_batch,
@@ -546,6 +548,8 @@ def test_forward_batch_shares_each_source(arch, fusion):
     batch = shared_source_batch(cfg, np.random.default_rng(21))
     phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
                                batch.hist, cfg, p)
+    # conv1 reads the windows of the 3 distinct sources' embedding rows.
+    assert np.array_equal(cache.windows1, _windows(cache.src_rows, cfg.conv_locs1))
     assert cache.windows1.shape[0] == 3
     assert np.array_equal(cache.src[cache.src_of], batch.ids)
     for i in range(len(batch)):
@@ -588,3 +592,50 @@ def test_backward_batch_sums_per_sample_gradients(arch, fusion):
         assert rel_err(dhist, np.concatenate(ref_hist)) <= 1e-12
     else:
         assert dhist is None
+
+
+def guided_case(arch, span, step):
+    """A cache over a batch with repeated sources, a weight over ``span``-row
+    windows of layer-0 rows, and the window count ``n`` at ``step``."""
+    cfg = small_cfg(arch=arch)
+    p = make_joint(cfg, seed=7).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(24))
+    _, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
+                             batch.hist, cfg, p)
+    rng = np.random.default_rng(25)
+    w = rng.normal(size=(5, span * cfg.input_dim))
+    return cfg, cache, w, (cfg.maxlen - span) // step + 1, rng
+
+
+@pytest.mark.parametrize("arch", ["generic", "tag_dep"])
+@pytest.mark.parametrize("span,step", [(3, 1), (4, 2)])
+def test_guided_linear_is_the_layer0_window_product(arch, span, step):
+    cfg, cache, w, n, rng = guided_case(arch, span, step)
+    out, windows = _guided_linear(cache, w, cfg, n, span, step)
+    assert cache.src_rows.shape[0] == 3 < len(cache.src_of)
+    ref = _windows(layer0(cache), n, span, step) @ w.T
+    assert out.shape == ref.shape
+    assert rel_err(out, ref) <= 1e-12
+    assert np.array_equal(windows, _windows(cache.src_rows, n, span, step))
+    bias = rng.normal(size=len(w))
+    biased, _ = _guided_linear(cache, w, cfg, n, span, step, bias=bias)
+    assert rel_err(biased, ref + bias) <= 1e-12
+
+
+@pytest.mark.parametrize("arch", ["generic", "tag_dep"])
+@pytest.mark.parametrize("span,step", [(3, 1), (4, 2)])
+def test_guided_linear_backward_is_its_adjoint(arch, span, step):
+    # The product is linear in w, and its word term is linear in the source
+    # rows: <product, g> = <w, dw> and <word term, g> = <src_rows, dsrc_rows>.
+    cfg, cache, w, n, rng = guided_case(arch, span, step)
+    out, windows = _guided_linear(cache, w, cfg, n, span, step)
+    g = rng.normal(size=out.shape)
+    start = rng.normal(size=cache.src_rows.shape)
+    dsrc_rows = start.copy()
+    dw = _guided_linear_backward(cache, g, windows, w, cfg, dsrc_rows, step)
+    assert dw.shape == w.shape
+    assert rel_err(np.vdot(w, dw), np.vdot(out, g)) <= 1e-12
+    word = w.reshape(len(w), span, cfg.input_dim)[..., : cfg.emb_dim]
+    word_term = windows[cache.src_of] @ word.reshape(len(w), -1).T
+    assert rel_err(np.vdot(cache.src_rows, dsrc_rows - start),
+                   np.vdot(word_term, g)) <= 1e-12

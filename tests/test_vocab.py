@@ -88,6 +88,16 @@ def test_vocabulary_rejects_duplicates():
         Vocabulary(tokens=RESERVED_TOKENS + ("a", "a"), limit=5)
 
 
+def test_vocabulary_takes_only_tokens_and_limit():
+    vocab = Vocabulary(RESERVED_TOKENS + ("a",), 1)
+    assert (vocab.unk_id, vocab.pad_id, vocab.bos_id, vocab.eos_id) == \
+        (UNK_ID, PAD_ID, BOS_ID, EOS_ID)
+    assert vocab.index == {tok: i for i, tok in enumerate(vocab.tokens)}
+    for extra in ({"index": {}}, {"pad_id": 7}, {"unk_id": 4}):
+        with pytest.raises(TypeError):
+            Vocabulary(RESERVED_TOKENS, 1, **extra)
+
+
 def test_vocabulary_rejects_overflow():
     with pytest.raises(CorpusError, match="limit"):
         Vocabulary(tokens=RESERVED_TOKENS + ("a", "b"), limit=1)
