@@ -42,14 +42,24 @@ LOCAL_PAIR = 2  # local fusion pairs windows two at a time
 
 INIT_SCALE = 0.08
 PARAM_DTYPE = np.float32
+# Row blocks of the encoder's 2-D products. With two threads, OpenBLAS grows
+# the resident set by about 45 MB on one product of ~20k rows; blocks of this
+# size keep that growth to about 5 MB at the same speed.
+GEMM_ROWS = 2048
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise: with e = exp(-|x|),
-    1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in place."""
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in place as
+    exp(min(x, 0)) / (1 + e)."""
     x = np.asarray(x)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    # The result is allocated before the temporary: a freed temporary below a
+    # kept result is a heap hole that the allocator does not hand back.
+    out = np.minimum(x, 0.0, out=np.empty(x.shape, np.result_type(x, 1.0)))
+    np.exp(out, out=out)
+    e = np.abs(x, out=np.empty_like(out))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     e += 1.0
     out /= e
     return out
@@ -215,9 +225,13 @@ class BatchCache:
 
 def _windows(x: np.ndarray, n: int, span: int = CONV_WINDOW,
              step: int = 1) -> np.ndarray:
-    """``n`` batched window rows; window i joins rows ``i * step + t``, t < span."""
-    stop = step * (n - 1) + 1
-    return np.concatenate([x[:, t : t + stop : step] for t in range(span)], axis=2)
+    """``n`` batched window rows; window i joins rows ``i * step + t``, t < span.
+    Over a sample's rows laid end to end, window i is the ``span * width``
+    values from row ``i * step`` on: one strided view, copied once."""
+    width = x.shape[2]
+    rows = x.reshape(len(x), x.shape[1] * width)
+    views = np.lib.stride_tricks.sliding_window_view(rows, span * width, axis=1)
+    return views[:, : step * width * (n - 1) + 1 : step * width].copy()
 
 
 def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.ndarray:
@@ -242,6 +256,18 @@ def _flat(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a 2-D ``w`` over any leading axes of ``x``, as 2-D
+    products of at most ``GEMM_ROWS`` rows into one output. A stacked ``@``
+    runs one small product per leading index instead."""
+    rows = _flat(x)
+    out = np.empty((*x.shape[:-1], w.shape[1]), np.result_type(x, w))
+    out_rows = _flat(out)
+    for lo in range(0, len(rows), GEMM_ROWS):
+        np.matmul(rows[lo : lo + GEMM_ROWS], w, out=out_rows[lo : lo + GEMM_ROWS])
+    return out
+
+
 def group_rows(key: np.ndarray) -> tuple[np.ndarray, ...]:
     """Group the equal rows of a 2-D non-negative int ``key``.
 
@@ -257,8 +283,14 @@ def group_rows(key: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _group_sum(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Rows of ``x`` summed per ``group_rows`` group, each in row order."""
-    return np.add.reduceat(x[order], starts[:-1], axis=0)
+    """Rows of ``x`` summed per ``group_rows`` group, each in row order: each
+    group's first row, then its k-th row added to every group that has one."""
+    sizes = np.diff(starts)
+    out = x[order[starts[:-1]]]
+    for k in range(1, sizes.max()):
+        g = np.flatnonzero(sizes > k)
+        out[g] += x[order[starts[g] + k]]
+    return out
 
 
 def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
@@ -272,10 +304,9 @@ def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
     that order fixes the result's rounding."""
     w_word, w_tag = _split_columns(w, cfg)
     windows = _windows(cache.src_rows, n, span, step)
-    out = (windows @ w_word.reshape(len(w), -1).T + bias)[cache.src_of]
+    out = (_matmul(windows, w_word.reshape(len(w), -1).T) + bias)[cache.src_of]
     if cfg.tag_bits:
-        tag_windows = _flat(_windows(cache.tags, n, span, step))
-        out += (tag_windows @ w_tag.reshape(len(w), -1).T).reshape(out.shape)
+        out += _matmul(_windows(cache.tags, n, span, step), w_tag.reshape(len(w), -1).T)
     return out, windows
 
 
@@ -294,7 +325,7 @@ def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, windows: np.nda
         tag_windows = _windows(cache.tags, dout.shape[1], dw_tag.shape[1], step)
         dw_tag[...] = (_flat(dout).T @ _flat(tag_windows)).reshape(dw_tag.shape)
     w_word, _ = _split_columns(w, cfg)
-    _windows_backward(dout_src @ w_word.reshape(len(w), -1), dsrc_rows, step)
+    _windows_backward(_matmul(dout_src, w_word.reshape(len(w), -1)), dsrc_rows, step)
     return dw
 
 
@@ -363,11 +394,11 @@ def forward_batch(
     cache.z2 = z2
 
     w3 = _windows(z2, cfg.conv_locs3)
-    z3 = sigmoid(w3 @ p.conv3_w.T + p.conv3_b)
+    z3 = sigmoid(_matmul(w3, p.conv3_w.T) + p.conv3_b)
     cache.windows3, cache.z3 = w3, z3
 
     if cfg.fusion == "gating":
-        scores = z3 @ p.gate_global_w
+        scores = _matmul(z3, p.gate_global_w[:, None])[..., 0]
         omega = softmax(scores, axis=1)
         z4 = np.einsum("bl,blf->bf", omega, z3)
         cache.omega = omega
@@ -413,7 +444,7 @@ def backward_batch(
         np.put_along_axis(dz3, cache.top_idx, (dz4 / cfg.pool_k)[:, None, :], axis=1)
 
     dpre3 = sigmoid_layer_backward(dz3, cache.windows3, z3, "conv3", grads)
-    dz2 = _windows_backward(dpre3 @ p.conv3_w, np.zeros_like(cache.z2))
+    dz2 = _windows_backward(_matmul(dpre3, p.conv3_w), np.zeros_like(cache.z2))
 
     z1 = cache.z1
     dz1 = np.empty_like(z1)

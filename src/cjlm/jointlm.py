@@ -319,7 +319,8 @@ def predict_backward_batch(
     the caller, which also owns the attention-path history gradient.
     """
     grads = {}
-    grads["softmax_w"] = dlogits.T @ cache.hidden_acts[-1]
+    # The transpose of acts.T @ dlogits: the same product in the faster layout.
+    grads["softmax_w"] = (cache.hidden_acts[-1].T @ dlogits).T
     grads["softmax_b"] = dlogits.sum(axis=0)
     da = sigmoid_stack_backward(dlogits @ p.softmax_w, cache.x0, cache.hidden_acts,
                                 p.hidden_layers, "hidden", grads)

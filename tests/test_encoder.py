@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cjlm import encoder
 from cjlm.encoder import (
     ARCHS,
     EncoderConfig,
+    _group_sum,
     _guided_linear,
     _guided_linear_backward,
+    _matmul,
     _windows,
     _windows_backward,
     backward_batch,
@@ -125,11 +128,16 @@ def two_branch_sigmoid(x):
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 def test_sigmoid_is_bit_identical_to_two_branch_form(dtype):
     rng = np.random.default_rng(16)
-    special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e300, -1e300]
+    special = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e300, -1e300, np.nan]
     x = np.concatenate([rng.normal(0.0, 4.0, 2_000_000), special]).astype(dtype)
     out = sigmoid(x)
     assert out.dtype == dtype
-    assert np.array_equal(out, two_branch_sigmoid(x))
+    assert np.array_equal(out, two_branch_sigmoid(x), equal_nan=True)
+    for v in special:
+        one = sigmoid(np.asarray(v, dtype=dtype))
+        assert isinstance(one, np.ndarray) and one.shape == () and one.dtype == dtype
+        assert np.array_equal(one, two_branch_sigmoid(np.asarray([v], dtype))[0],
+                              equal_nan=True)
 
 
 # --- backward kernels --------------------------------------------------------
@@ -149,6 +157,66 @@ def test_windows_backward_is_the_adjoint(span, step):
         base = rng.normal(size=x.shape)
         dx = _windows_backward(g, base.copy(), step) - base
         assert np.isclose(np.sum(win * g), np.sum(x * dx), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("span, step", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("width", [1, 2, EncoderConfig().emb_dim])
+def test_windows_is_the_concatenated_row_slices(span, step, width):
+    rng = np.random.default_rng(100 * span + width)
+    n = 5
+    locs = step * (n - 1) + span + 1
+    stop = step * (n - 1) + 1
+    contiguous = rng.normal(size=(4, locs, width))
+    # A reversed, every-other-sample view: no reshape of it is a view.
+    strided = rng.normal(size=(8, locs, width))[::-2]
+    for x in (contiguous, strided):
+        ref = np.concatenate([x[:, t : t + stop : step] for t in range(span)], axis=2)
+        win = _windows(x, n, span, step)
+        assert win.flags.c_contiguous
+        assert win.shape == ref.shape and np.array_equal(win, ref)
+
+
+def test_group_sum_adds_each_group_in_row_order():
+    # Rows 0, 3 and 5 form one group: in row order, 1e16 + 1.0 rounds back to
+    # 1e16 each time, whereas summing the two 1.0s first gives 1e16 + 2.
+    # Rows 1, 6, ..., 14 form a group of ten, past pairwise summation's
+    # eight; rows 2 and 4 are singletons.
+    key = np.array([[0], [1], [2], [0], [3], [0]] + [[1]] * 9)
+    rng = np.random.default_rng(17)
+    scale = 10.0 ** rng.integers(-8, 9, size=(len(key), 1, 1))
+    x = rng.normal(size=(len(key), 3, 4)) * scale
+    x[[0, 3, 5]] = np.array([1e16, 1.0, 1.0])[:, None, None]
+    first, _, order, starts = group_rows(key)
+    out = _group_sum(x, order, starts)
+    assert out.shape == (len(first),) + x.shape[1:]
+    for g in range(len(first)):
+        members = [i for i in range(len(key)) if key[i, 0] == key[first[g], 0]]
+        acc = x[members[0]].copy()
+        for i in members[1:]:
+            acc = acc + x[i]
+        assert np.array_equal(out[g], acc), g
+    assert (out[key[first, 0] == 0] == 1e16).all()
+
+
+def test_matmul_blocks_match_stacked_product(monkeypatch):
+    # 15 rows in blocks of 7: two full blocks and a ragged tail. Longdouble,
+    # the finite-difference oracle's dtype, stays longdouble.
+    monkeypatch.setattr(encoder, "GEMM_ROWS", 7)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(3, 5, 4)).astype(np.longdouble)
+    w = rng.normal(size=(6, 4)).astype(np.longdouble)
+    out = _matmul(x, w.T)
+    assert out.dtype == np.longdouble
+    assert np.array_equal(out, x @ w.T)
+
+
+@pytest.mark.parametrize("arch, fusion", [("tag", "gating"), ("attention", "pooling")])
+def test_batch_kernels_match_oracles_across_gemm_blocks(arch, fusion, monkeypatch):
+    # Blocks of 7 rows split conv1's, conv3's and their input gradients'
+    # products into several blocks with a ragged tail (24, 33 and 48 rows).
+    monkeypatch.setattr(encoder, "GEMM_ROWS", 7)
+    test_forward_batch_matches_encode(arch, fusion)
+    test_backward_batch_sums_per_sample_gradients(arch, fusion)
 
 
 def test_sigmoid_layer_backward_matches_einsum_form():
