@@ -33,10 +33,13 @@ from .errors import ConfigError
 from .vocab import PAD_ID
 
 DEFAULT_HIDDEN_DIMS = (200,)
-# Rows per block of the softmax normalizer, in training and in scoring.
+# Rows per block of the training softmax's normalizer scratch.
 SOFTMAX_BLOCK = 32
-# Most rows the encoder takes at once when scoring.
+# Most rows per scoring block, for the encoder and for the predictor.
 SCORE_ROWS = 512
+# Vocabulary columns per scoring GEMM: a SCORE_ROWS x SOFTMAX_TILE scratch
+# keeps big row blocks (fast GEMMs) in a small working set.
+SOFTMAX_TILE = 2048
 
 # Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
 # PAD row zeroed (embedding tables).
@@ -275,12 +278,29 @@ def _hidden_stack(phi, hist, p):
     return x0, sigmoid_stack(x0, p.hidden_layers)
 
 
-def _log_normalizer(block: np.ndarray) -> np.ndarray:
-    """Each row's logsumexp; overwrites ``block`` with ``exp(block - rowmax)``."""
-    m = block.max(axis=1)
-    block -= m[:, None]
-    np.exp(block, out=block)
-    return m + np.log(block.sum(axis=1))
+def _log_normalizer(tile: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fold a tile of logits into each row's running logsumexp.
+
+    ``m`` is each row's running max and ``s`` its running sum of
+    ``exp(logit - m)``; both are updated in place, and ``tile`` is overwritten
+    with ``exp(tile - m)``. Returns the logsumexp ``m + log(s)`` of every
+    column folded so far. From ``m = -inf, s = 0`` one full-width tile gives
+    exactly ``max + log(sum(exp(x - max)))``.
+    """
+    new_m = np.maximum(m, tile.max(axis=1))
+    s *= np.exp(m - new_m)
+    m[...] = new_m
+    tile -= m[:, None]
+    np.exp(tile, out=tile)
+    s += tile.sum(axis=1)
+    return m + np.log(s)
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds of ``ceil(n / SCORE_ROWS)`` consecutive row blocks covering
+    ``range(n)``, whose sizes differ by at most one."""
+    count = -(-n // SCORE_ROWS)
+    return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
 
 def predict_forward_batch(
@@ -293,7 +313,8 @@ def predict_forward_batch(
     Runs in the dtype of ``p``. The logits turn into the log-probabilities in
     place, so the result is the one rows-by-vocabulary buffer; each row's
     logsumexp normalizer comes from a copy of its ``SOFTMAX_BLOCK``-row
-    block. Rows sum to one in probability space by construction.
+    block, folded as one full-width tile. Rows sum to one in probability
+    space by construction.
     """
     x0, acts = _hidden_stack(phi, hist, p)
     logits = np.matmul(acts[-1], p.softmax_w.T)
@@ -302,7 +323,8 @@ def predict_forward_batch(
     for lo in range(0, len(logits), SOFTMAX_BLOCK):
         rows = logits[lo : lo + SOFTMAX_BLOCK]
         np.copyto(block[: len(rows)], rows)
-        rows -= _log_normalizer(block[: len(rows)])[:, None]
+        m = np.full(len(rows), -np.inf, dtype=logits.dtype)
+        rows -= _log_normalizer(block[: len(rows)], m, np.zeros_like(m))[:, None]
     return logits, PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
 
 
@@ -362,10 +384,13 @@ def log_probs_batch(
 
     Runs in ``compute_params(p)``: float32 parameters are cast once per call,
     and the result is float64, or longdouble for longdouble parameters. The
-    encoder runs once per distinct encoder input, ``SCORE_ROWS`` rows at a
-    time. Each block of ``SOFTMAX_BLOCK`` distinct (encoder input, history)
-    rows then runs the hidden stack, the logits and the normalizer, so the
-    samples-by-vocabulary log-probability matrix is never built.
+    encoder runs once per distinct encoder input, and the hidden stack once
+    per distinct (encoder input, history) row, each in even row blocks of at
+    most ``SCORE_ROWS``. Each predictor block then sweeps ``softmax_w`` in
+    ``SOFTMAX_TILE``-word tiles: one GEMM into one block-by-tile scratch,
+    its samples' target logits read from the tile that holds them, and the
+    tile folded into the running normalizer. So neither the
+    samples-by-vocabulary matrix nor a block-by-vocabulary one is built.
     """
     pc = compute_params(p)
     dtype = pc.softmax_w.dtype
@@ -375,24 +400,40 @@ def log_probs_batch(
     batch = SampleBatch.from_samples(samples, cfg)
     enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
     phi = np.empty((len(enc_first), cfg.repr_dim), dtype=dtype)
-    for start in range(0, len(enc_first), SCORE_ROWS):
-        rows = enc_first[start : start + SCORE_ROWS]
-        phi[start : start + len(rows)], _ = enc.forward_batch(
+    for lo, hi in _row_blocks(len(enc_first)):
+        rows = enc_first[lo:hi]
+        # A block's cache lives until the next block has run: freeing it
+        # first tripled the page faults of a paper-size eval pass and made
+        # it about 8% slower on 2 vCPUs.
+        phi[lo:hi], cache = enc.forward_batch(
             batch.ids[rows], batch.aff_mask[rows], batch.head_mask[rows],
             batch.hist[rows], cfg, pc)
+    del cache  # not held beside the predictor's scratch
 
     first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
-    block = np.empty((SOFTMAX_BLOCK, pc.target_vocab_size), dtype=dtype)
-    for lo in range(0, len(first), SOFTMAX_BLOCK):
-        rows = first[lo : lo + SOFTMAX_BLOCK]
+    blocks = _row_blocks(len(first))
+    vocab = pc.target_vocab_size
+    scratch = np.empty(max(hi - lo for lo, hi in blocks) * min(SOFTMAX_TILE, vocab),
+                       dtype=dtype)
+    for lo, hi in blocks:
+        rows = first[lo:hi]
         _, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
-        logits = np.matmul(acts[-1], pc.softmax_w.T, out=block[: len(rows)])
-        logits += pc.softmax_b
-        members = order[starts[lo] : starts[lo + len(rows)]]
+        members = order[starts[lo] : starts[hi]]
         at = slot[members] - lo
-        out[members] = logits[at, batch.targets[members]]
-        out[members] -= _log_normalizer(logits)[at]
+        tile_of, column = np.divmod(batch.targets[members], SOFTMAX_TILE)
+        m = np.full(hi - lo, -np.inf, dtype=dtype)
+        s = np.zeros_like(m)
+        for t, v in enumerate(range(0, vocab, SOFTMAX_TILE)):
+            w = pc.softmax_w[v : v + SOFTMAX_TILE]
+            # Contiguous even for the ragged last tile, so numpy need not buffer.
+            logits = scratch[: (hi - lo) * len(w)].reshape(hi - lo, len(w))
+            np.matmul(acts[-1], w.T, out=logits)
+            logits += pc.softmax_b[v : v + len(w)]
+            here = tile_of == t
+            out[members[here]] = logits[at[here], column[here]]
+            log_norm = _log_normalizer(logits, m, s)
+        out[members] -= log_norm[at]
     return out
 
 

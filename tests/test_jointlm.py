@@ -147,13 +147,73 @@ def test_log_probs_batch_chunking_invariance(monkeypatch):
     p = make_joint(cfg, seed=6)
     samples = random_samples(cfg, 17, 8)
     full = log_probs_batch(samples, cfg, p)
-    monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
-    assert np.array_equal(full, log_probs_batch(samples, cfg, p))
     # Not 1: numpy multiplies a one-row matrix on its matrix-vector path,
     # which rounds differently from the matrix-matrix one.
-    for block in (2, 5):
-        monkeypatch.setattr(jointlm, "SOFTMAX_BLOCK", block)
+    for rows in (2, 5):
+        monkeypatch.setattr(jointlm, "SCORE_ROWS", rows)
         assert np.array_equal(full, log_probs_batch(samples, cfg, p))
+
+
+@pytest.mark.parametrize("score_rows", [1, 2, 3, 7, jointlm.SCORE_ROWS])
+def test_row_blocks_are_even(monkeypatch, score_rows):
+    monkeypatch.setattr(jointlm, "SCORE_ROWS", score_rows)
+    for n in range(3 * score_rows + 2):
+        blocks = jointlm._row_blocks(n)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert len(blocks) == -(-n // score_rows)
+        assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+        assert all(0 < size <= score_rows for size in sizes), n
+        assert not sizes or max(sizes) - min(sizes) <= 1, n
+        # From 3 rows per block up, two or more rows never leave a one-row
+        # block for numpy's matrix-vector path.
+        if score_rows >= 3 and n >= 2:
+            assert min(sizes) >= 2, n
+    if score_rows == 512:
+        assert [hi - lo for lo, hi in jointlm._row_blocks(513)] == [256, 257]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_log_probs_batch_matches_loop_oracle_across_tiles(monkeypatch, arch):
+    # Tiles of 7 words leave a ragged last tile of 6 in a 300-word vocabulary,
+    # and blocks of at most 3 rows split the distinct rows into several.
+    monkeypatch.setattr(jointlm, "SOFTMAX_TILE", 7)
+    monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
+    cfg = small_cfg(arch=arch)
+    p = make_joint(cfg, tgt_v=300, seed=4)
+    p.softmax_b[...] = np.random.default_rng(1).uniform(-3, 3, 300)
+    samples = random_samples(cfg, 10, 9, tgt_v=300)
+    expected = [reference_log_probs(s, cfg, p)[s.target] for s in samples]
+    for storage, compute in ((np.float32, np.float64),
+                             (np.longdouble, np.longdouble)):
+        got = log_probs_batch(samples, cfg, p.astype(storage))
+        assert got.dtype == compute
+        assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_log_probs_batch_folds_tiles_past_exp_range(monkeypatch):
+    # Each row's largest logit sits in the last tile, over 1 000 nats above
+    # the first tile's: exp of the first tile against the last one's max
+    # underflows to 0, and against the first tile's own max the last tile's
+    # exp would overflow (a RuntimeWarning, an error in this suite).
+    monkeypatch.setattr(jointlm, "SOFTMAX_TILE", 7)
+    monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
+    cfg = small_cfg()
+    vocab, last_tile = 300, 294
+    p = make_joint(cfg, tgt_v=vocab, seed=5).astype(np.float64)
+    p.softmax_b[:last_tile] = -1000.0 + 3.0 * np.arange(last_tile)
+    p.softmax_b[last_tile:] = 100.0
+    samples = random_samples(cfg, 10, 4, tgt_v=vocab)
+    samples += [replace(s, target=t) for s, t in zip(samples, (2, 150, 299))]
+    _, _, pred = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    wide = np.longdouble
+    logits = (pred.hidden_acts[-1].astype(wide) @ p.softmax_w.T.astype(wide)
+              + p.softmax_b.astype(wide))
+    assert np.all(logits.argmax(axis=1) >= last_tile)
+    assert np.all(logits.max(axis=1) - logits.min(axis=1) > 1000)
+    m = logits.max(axis=1, keepdims=True)
+    log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    expected = [row[s.target] for row, s in zip(log_probs, samples)]
+    assert np.allclose(log_probs_batch(samples, cfg, p), expected, rtol=0, atol=1e-12)
 
 
 def predictor_inputs(cfg, p, n, seed):
@@ -195,6 +255,30 @@ def test_predict_forward_holds_one_batch_by_vocabulary_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= buffer + scratch + 64 * 1024
+
+
+def test_log_probs_batch_holds_one_block_by_tile_scratch():
+    # About 64 distinct rows make one predictor block; its scratch is one
+    # block-by-tile buffer whatever the vocabulary size.
+    cfg = small_cfg()
+    rows = 64
+    hidden = (6,)
+    acts = rows * (cfg.repr_dim + cfg.history * cfg.tgt_emb_dim + sum(hidden)) * 8
+    bound = rows * jointlm.SOFTMAX_TILE * 8 + acts + 128 * 1024
+    peaks = []
+    for vocab in (5000, 20000):
+        p = make_joint(cfg, tgt_v=vocab, hidden=hidden).astype(np.float64)
+        samples = random_samples(cfg, rows, 2, tgt_v=vocab)
+        log_probs_batch(samples, cfg, p)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            log_probs_batch(samples, cfg, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, vocab
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 1024
 
 
 @pytest.mark.parametrize("storage, compute", [
