@@ -35,7 +35,8 @@ from .vocab import PAD_ID
 DEFAULT_HIDDEN_DIMS = (200,)
 # Rows per block of the training softmax's normalizer scratch.
 SOFTMAX_BLOCK = 32
-# Most rows per scoring block, for the encoder and for the predictor.
+# Most distinct (encoder input, history) rows per scoring block; each block
+# runs the encoder on its own distinct encoder inputs.
 SCORE_ROWS = 512
 # Vocabulary columns per scoring GEMM: a SCORE_ROWS x SOFTMAX_TILE scratch
 # keeps big row blocks (fast GEMMs) in a small working set.
@@ -297,8 +298,9 @@ def _log_normalizer(tile: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarra
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """Bounds of ``ceil(n / SCORE_ROWS)`` consecutive row blocks covering
-    ``range(n)``, whose sizes differ by at most one."""
+    """Bounds of the ``ceil(n / SCORE_ROWS)`` scoring blocks over ``n``
+    distinct predictor rows: consecutive, covering ``range(n)``, with sizes
+    that differ by at most one."""
     count = -(-n // SCORE_ROWS)
     return [(i * n // count, (i + 1) * n // count) for i in range(count)]
 
@@ -384,12 +386,14 @@ def log_probs_batch(
 
     Runs in ``compute_params(p)``: float32 parameters are cast once per call,
     and the result is float64, or longdouble for longdouble parameters. The
-    encoder runs once per distinct encoder input, and the hidden stack once
-    per distinct (encoder input, history) row, each in even row blocks of at
-    most ``SCORE_ROWS``. Each predictor block then sweeps ``softmax_w`` in
-    ``SOFTMAX_TILE``-word tiles: one GEMM into one block-by-tile scratch,
-    its samples' target logits read from the tile that holds them, and the
-    tile folded into the running normalizer. So neither the
+    distinct (encoder input, history) rows, in their sorted order, split into
+    even blocks of at most ``SCORE_ROWS``. Each block runs the encoder once
+    on its distinct encoder inputs, keeping only their representations, then
+    the hidden stack, then sweeps ``softmax_w`` in ``SOFTMAX_TILE``-word
+    tiles: one GEMM into one block-by-tile scratch, its samples' target
+    logits read from the tile that holds them, and the tile folded into the
+    running normalizer. An encoder input whose rows straddle two blocks runs
+    in both. So no encoder cache outlives its block, and neither the
     samples-by-vocabulary matrix nor a block-by-vocabulary one is built.
     """
     pc = compute_params(p)
@@ -399,31 +403,23 @@ def log_probs_batch(
         return out
     batch = SampleBatch.from_samples(samples, cfg)
     enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
-    phi = np.empty((len(enc_first), cfg.repr_dim), dtype=dtype)
-    for lo, hi in _row_blocks(len(enc_first)):
-        rows = enc_first[lo:hi]
-        # A block's cache lives until the next block has run: freeing it
-        # first tripled the page faults of a paper-size eval pass and made
-        # it about 8% slower on 2 vCPUs.
-        phi[lo:hi], cache = enc.forward_batch(
-            batch.ids[rows], batch.aff_mask[rows], batch.head_mask[rows],
-            batch.hist[rows], cfg, pc)
-    del cache  # not held beside the predictor's scratch
-
     first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
-    blocks = _row_blocks(len(first))
     vocab = pc.target_vocab_size
-    scratch = np.empty(max(hi - lo for lo, hi in blocks) * min(SOFTMAX_TILE, vocab),
-                       dtype=dtype)
-    for lo, hi in blocks:
+    for lo, hi in _row_blocks(len(first)):
         rows = first[lo:hi]
-        _, acts = _hidden_stack(phi[enc_slot[rows]], batch.hist[rows], pc)
+        # Sorted by encoder slot first, so the block's inputs are one run.
+        enc_lo = enc_slot[rows[0]]
+        src = enc_first[enc_lo : enc_slot[rows[-1]] + 1]
+        phi = enc.forward_batch(batch.ids[src], batch.aff_mask[src],
+                                batch.head_mask[src], batch.hist[src], cfg, pc)[0]
+        _, acts = _hidden_stack(phi[enc_slot[rows] - enc_lo], batch.hist[rows], pc)
         members = order[starts[lo] : starts[hi]]
         at = slot[members] - lo
         tile_of, column = np.divmod(batch.targets[members], SOFTMAX_TILE)
         m = np.full(hi - lo, -np.inf, dtype=dtype)
         s = np.zeros_like(m)
+        scratch = np.empty((hi - lo) * min(SOFTMAX_TILE, vocab), dtype=dtype)
         for t, v in enumerate(range(0, vocab, SOFTMAX_TILE)):
             w = pc.softmax_w[v : v + SOFTMAX_TILE]
             # Contiguous even for the ragged last tile, so numpy need not buffer.

@@ -8,7 +8,7 @@ import pytest
 
 from cjlm.corpus import TrainingSample
 from cjlm.encoder import ARCHS, FUSIONS, EncoderConfig
-from cjlm import jointlm
+from cjlm import encoder, jointlm
 from cjlm.errors import ConfigError
 from cjlm.jointlm import (
     JointModelParams,
@@ -175,13 +175,21 @@ def test_row_blocks_are_even(monkeypatch, score_rows):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_log_probs_batch_matches_loop_oracle_across_tiles(monkeypatch, arch):
     # Tiles of 7 words leave a ragged last tile of 6 in a 300-word vocabulary,
-    # and blocks of at most 3 rows split the distinct rows into several.
+    # and blocks of at most 3 rows split the distinct rows into several. Four
+    # sources under seven histories each give an encoder input whose rows
+    # straddle two blocks and so run through the encoder in both, except
+    # under attention, whose encoder input holds the history.
     monkeypatch.setattr(jointlm, "SOFTMAX_TILE", 7)
     monkeypatch.setattr(jointlm, "SCORE_ROWS", 3)
     cfg = small_cfg(arch=arch)
     p = make_joint(cfg, tgt_v=300, seed=4)
-    p.softmax_b[...] = np.random.default_rng(1).uniform(-3, 3, 300)
+    rng = np.random.default_rng(1)
+    p.softmax_b[...] = rng.uniform(-3, 3, 300)
     samples = random_samples(cfg, 10, 9, tgt_v=300)
+    for s in random_samples(cfg, 4, 10, tgt_v=300):
+        for _ in range(7):
+            hist = tuple(int(h) for h in rng.integers(2, 300, cfg.history))
+            samples.append(replace(s, history=hist, target=int(rng.integers(2, 300))))
     expected = [reference_log_probs(s, cfg, p)[s.target] for s in samples]
     for storage, compute in ((np.float32, np.float64),
                              (np.longdouble, np.longdouble)):
@@ -279,6 +287,30 @@ def test_log_probs_batch_holds_one_block_by_tile_scratch():
         assert peak <= bound, vocab
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + 1024
+
+
+def traced_peak(fn, *args):
+    fn(*args)  # warm up lazy allocations
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_log_probs_batch_holds_one_encoder_block(monkeypatch):
+    # 96 distinct encoder inputs make six blocks of 16 rows, and at maxlen 40
+    # with 32 filters the encoder's cache outweighs everything else a block
+    # holds: only one block's cache may be alive at a time.
+    monkeypatch.setattr(jointlm, "SCORE_ROWS", 16)
+    cfg = small_cfg(arch="attention", maxlen=40, filters1=32, filters3=32)
+    p = make_joint(cfg).astype(np.float64)
+    samples = random_samples(cfg, 96, 3)
+    batch = SampleBatch.from_samples(samples[:16], cfg)
+    one_block = traced_peak(encoder.forward_batch, batch.ids, batch.aff_mask,
+                            batch.head_mask, batch.hist, cfg, p)
+    assert traced_peak(log_probs_batch, samples, cfg, p) <= 1.4 * one_block
 
 
 @pytest.mark.parametrize("storage, compute", [
