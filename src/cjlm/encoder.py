@@ -66,10 +66,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction; the bare formula overflows in low precision."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Softmax with max-subtraction, computed in place in ``x`` and returned;
+    the bare formula overflows in low precision."""
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.sum(x, axis=axis, keepdims=True)
+    return x
 
 
 @dataclass(frozen=True)

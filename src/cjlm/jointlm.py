@@ -33,8 +33,6 @@ from .errors import ConfigError
 from .vocab import PAD_ID
 
 DEFAULT_HIDDEN_DIMS = (200,)
-# Rows per block of the training softmax's normalizer scratch.
-SOFTMAX_BLOCK = 32
 # Most distinct (encoder input, history) rows per scoring block; each block
 # runs the encoder on its own distinct encoder inputs.
 SCORE_ROWS = 512
@@ -285,8 +283,7 @@ def _log_normalizer(tile: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarra
     ``m`` is each row's running max and ``s`` its running sum of
     ``exp(logit - m)``; both are updated in place, and ``tile`` is overwritten
     with ``exp(tile - m)``. Returns the logsumexp ``m + log(s)`` of every
-    column folded so far. From ``m = -inf, s = 0`` one full-width tile gives
-    exactly ``max + log(sum(exp(x - max)))``.
+    column folded so far.
     """
     new_m = np.maximum(m, tile.max(axis=1))
     s *= np.exp(m - new_m)
@@ -310,24 +307,16 @@ def predict_forward_batch(
     hist: np.ndarray,
     p: JointModelParams,
 ) -> tuple[np.ndarray, PredictorCache]:
-    """Log-probabilities over the target vocabulary for each batch row.
+    """Probabilities over the target vocabulary for each batch row.
 
-    Runs in the dtype of ``p``. The logits turn into the log-probabilities in
-    place, so the result is the one rows-by-vocabulary buffer; each row's
-    logsumexp normalizer comes from a copy of its ``SOFTMAX_BLOCK``-row
-    block, folded as one full-width tile. Rows sum to one in probability
-    space by construction.
+    Runs in the dtype of ``p``. The logits turn into the probabilities in
+    place through ``encoder.softmax``, so the result is the one
+    rows-by-vocabulary buffer.
     """
     x0, acts = _hidden_stack(phi, hist, p)
     logits = np.matmul(acts[-1], p.softmax_w.T)
     logits += p.softmax_b
-    block = np.empty_like(logits[:SOFTMAX_BLOCK])
-    for lo in range(0, len(logits), SOFTMAX_BLOCK):
-        rows = logits[lo : lo + SOFTMAX_BLOCK]
-        np.copyto(block[: len(rows)], rows)
-        m = np.full(len(rows), -np.inf, dtype=logits.dtype)
-        rows -= _log_normalizer(block[: len(rows)], m, np.zeros_like(m))[:, None]
-    return logits, PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
+    return enc.softmax(logits, axis=1), PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
 
 
 def predict_backward_batch(
@@ -357,12 +346,13 @@ def forward_batch(
     cfg: EncoderConfig,
     p: JointModelParams,
 ) -> tuple[np.ndarray, "enc.BatchCache", PredictorCache]:
-    """Full model forward: encoder then predictor, in ``compute_params(p)``."""
+    """Full model forward in ``compute_params(p)``: each row's probabilities
+    over the target vocabulary, then the encoder and predictor caches."""
     pc = compute_params(p)
     phi, enc_cache = enc.forward_batch(
         batch.ids, batch.aff_mask, batch.head_mask, batch.hist, cfg, pc)
-    log_probs, pred_cache = predict_forward_batch(phi, batch.hist, pc)
-    return log_probs, enc_cache, pred_cache
+    probs, pred_cache = predict_forward_batch(phi, batch.hist, pc)
+    return probs, enc_cache, pred_cache
 
 
 def _encoder_key(batch: SampleBatch, cfg: EncoderConfig) -> np.ndarray:

@@ -128,15 +128,14 @@ def backward(
     zero gradient: they are constants of the model.
     """
     pc = jm.compute_params(params)  # one cast serves the forward and backward pass
-    log_probs, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc)
+    dlogits, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc)
     n = len(batch)
     rows = np.arange(n)
-    nll = float(-log_probs[rows, batch.targets].mean())
+    with np.errstate(divide="ignore"):  # p = 0 is an infinite loss: divergence
+        nll = float(-np.log(dlogits[rows, batch.targets]).mean())
 
-    # The softmax gradient overwrites the log-probabilities, and neither is
-    # alive during the encoder backward.
-    dlogits = np.exp(log_probs, out=log_probs)
-    del log_probs
+    # The softmax gradient, the probabilities less one at each target, is
+    # built in their buffer, which is not alive during the encoder backward.
     dlogits[rows, batch.targets] -= 1.0
     dlogits /= n
     pred_grads, dphi, dhist_pred = jm.predict_backward_batch(pred_cache, dlogits, pc)

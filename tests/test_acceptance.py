@@ -89,8 +89,8 @@ def test_criterion_2_normalization_suite():
         samples.append(TrainingSample(ids, frozenset(), frozenset(), hist,
                                       int(rng.integers(2, 20))))
     batch = SampleBatch.from_samples(samples, cfg)
-    log_probs, _, _ = forward_batch(batch, cfg, params)
-    prob_err = float(np.abs(np.exp(log_probs).sum(axis=1) - 1.0).max())
+    probs, _, _ = forward_batch(batch, cfg, params)
+    prob_err = float(np.abs(probs.sum(axis=1) - 1.0).max())
 
     gate_err, gate_in_range = 0.0, True
     for _ in range(1000):

@@ -103,9 +103,14 @@ def test_softmax_hand_value():
 @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
 def test_softmax_normalizes_and_shifts(xs):
     x = np.array(xs)
+    shifted = softmax(x + 17.3)
+    e = np.exp(x - x.max())
+    expected = e / e.sum()
     p = softmax(x)
+    assert p is x
+    assert np.array_equal(p, expected)
     assert np.isclose(p.sum(), 1.0, atol=1e-12)
-    assert np.allclose(p, softmax(x + 17.3), atol=1e-12)
+    assert np.allclose(p, shifted, atol=1e-12)
 
 
 @given(st.floats(-500, 500))

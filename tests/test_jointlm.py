@@ -113,9 +113,8 @@ def test_rows_sum_to_one(arch):
     cfg = small_cfg(arch=arch)
     p = make_joint(cfg, seed=2)
     batch = SampleBatch.from_samples(random_samples(cfg, 8, 5), cfg)
-    log_probs, _, _ = forward_batch(batch, cfg, p)
-    sums = np.exp(log_probs).sum(axis=1)
-    assert np.allclose(sums, 1.0, atol=1e-12)
+    probs, _, _ = forward_batch(batch, cfg, p)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_uniform_when_softmax_is_zero():
@@ -124,8 +123,8 @@ def test_uniform_when_softmax_is_zero():
     p.softmax_w[...] = 0.0
     p.softmax_b[...] = 0.0
     samples = random_samples(cfg, 1, 3)
-    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
-    assert np.allclose(log_probs, -np.log(11), atol=1e-12)
+    probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    assert np.allclose(np.log(probs), -np.log(11), atol=1e-12)
     assert np.isclose(perplexity(samples, cfg, p), 11.0, atol=1e-9)
 
 
@@ -134,10 +133,10 @@ def test_matches_loop_oracle(arch):
     cfg = small_cfg(arch=arch)
     p = make_joint(cfg, seed=4)
     samples = random_samples(cfg, 3, 9)
-    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
-    for lp, sample in zip(log_probs, samples):
+    probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    for row, sample in zip(probs, samples):
         ref = reference_log_probs(sample, cfg, p)
-        assert np.allclose(lp, ref, atol=1e-12)
+        assert np.allclose(np.log(row), ref, atol=1e-12)
 
 
 # --- batching and convenience wrappers -------------------------------------
@@ -232,20 +231,17 @@ def predictor_inputs(cfg, p, n, seed):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-@pytest.mark.parametrize("block", [2, 5, jointlm.SOFTMAX_BLOCK])
-def test_predict_forward_matches_out_of_place_softmax(monkeypatch, dtype, block):
-    monkeypatch.setattr(jointlm, "SOFTMAX_BLOCK", block)
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_predict_forward_matches_out_of_place_softmax(dtype, n):
     cfg = small_cfg()
     p = make_joint(cfg, tgt_v=300, seed=3).astype(dtype)
-    for n in (1, block - 1, block, block + 1, 2 * block + 3):
-        phi, hist = predictor_inputs(cfg, p, n, seed=n)
-        _, acts = jointlm._hidden_stack(phi, hist, p)
-        logits = acts[-1] @ p.softmax_w.T + p.softmax_b
-        m = logits.max(axis=1, keepdims=True)
-        expected = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
-        log_probs, _ = jointlm.predict_forward_batch(phi, hist, p)
-        assert log_probs.dtype == dtype
-        assert np.array_equal(log_probs, expected), n
+    phi, hist = predictor_inputs(cfg, p, n, seed=n)
+    _, acts = jointlm._hidden_stack(phi, hist, p)
+    logits = acts[-1] @ p.softmax_w.T + p.softmax_b
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs, _ = jointlm.predict_forward_batch(phi, hist, p)
+    assert probs.dtype == dtype
+    assert np.array_equal(probs, e / e.sum(axis=1, keepdims=True))
 
 
 def test_predict_forward_holds_one_batch_by_vocabulary_buffer():
@@ -255,14 +251,13 @@ def test_predict_forward_holds_one_batch_by_vocabulary_buffer():
     phi, hist = predictor_inputs(cfg, p, rows, seed=1)
     jointlm.predict_forward_batch(phi, hist, p)  # warm up lazy allocations
     buffer = rows * vocab * 8
-    scratch = jointlm.SOFTMAX_BLOCK * vocab * 8
     tracemalloc.start()
     try:
         jointlm.predict_forward_batch(phi, hist, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= buffer + scratch + 64 * 1024
+    assert peak <= buffer + 64 * 1024
 
 
 def test_log_probs_batch_holds_one_block_by_tile_scratch():
@@ -336,7 +331,11 @@ def test_sample_log_prob_indexes_target(arch):
                 replace(samples[1], history=(2, 3, 4)),
                 replace(samples[3], affiliated=frozenset()),
                 replace(samples[3], head_positions=frozenset())]
-    log_probs, _, _ = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    _, _, pred = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    pc = compute_params(p)
+    logits = pred.hidden_acts[-1] @ pc.softmax_w.T + pc.softmax_b
+    m = logits.max(axis=1, keepdims=True)
+    log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
     expected = [row[s.target] for row, s in zip(log_probs, samples)]
     assert np.array_equal(log_probs_batch(samples, cfg, p), expected)
 

@@ -329,6 +329,17 @@ def test_last_step_overflow_raises_with_the_previous_checkpoint():
         assert np.array_equal(checkpoint[name], t), name
 
 
+def test_underflowed_target_probability_is_divergence():
+    # Every target's logit sits 800 nats below the others, so its probability
+    # underflows float64 to 0 and the loss -log p is infinite.
+    cfg = check_cfg()
+    params = make_joint(cfg)
+    samples = tiny_samples(cfg, 6, 14)
+    params.softmax_b[[s.target for s in samples]] = -800.0
+    with pytest.raises(TrainingDivergedError, match=r"non-finite loss .*epoch 1"):
+        train(samples, cfg, TrainConfig(learning_rate=0.1, epochs=1), params)
+
+
 def test_divergence_carries_checkpoint_and_epoch():
     cfg = check_cfg()
     params = make_joint(cfg)
