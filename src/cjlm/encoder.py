@@ -171,10 +171,18 @@ def sigmoid_layer_backward(da: np.ndarray, x: np.ndarray, act: np.ndarray,
     and returns the pre-activation gradient; the input gradient is its ``@ w``.
     """
     dpre = da * act * (1.0 - act)
-    rows = dpre.reshape(-1, dpre.shape[-1])
-    grads[f"{name}_w"] = rows.T @ x.reshape(-1, x.shape[-1])
-    grads[f"{name}_b"] = rows.sum(axis=0)
+    linear_backward(dpre, x, name, grads)
     return dpre
+
+
+def linear_backward(dpre: np.ndarray, x: np.ndarray, name: str,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Stores in ``grads`` the ``<name>_w``/``_b`` gradients of
+    ``x @ w.T + b`` over any leading axes for its gradient ``dpre``: the
+    weight gradient is one 2-D GEMM over the flattened rows."""
+    rows = _flat(dpre)
+    grads[f"{name}_w"] = rows.T @ _flat(x)
+    grads[f"{name}_b"] = rows.sum(axis=0)
 
 
 def sigmoid_stack_backward(da: np.ndarray, x: np.ndarray, acts: list[np.ndarray],
@@ -201,6 +209,10 @@ class BatchCache:
     of them that ``_guided_linear`` read for conv1 and the local gate,
     ``windows1`` and ``gate_in``, are per source. The 0/1 tag columns,
     ``tags``, are per sample.
+
+    Pooling keeps no full sigmoid layer: ``take`` marks the pair member each
+    fused value came from, ``top_idx`` each feature's top-k locations and
+    ``z3_top`` the sigmoid values there; ``z1`` and ``z3`` stay None.
     """
 
     src: np.ndarray
@@ -221,6 +233,7 @@ class BatchCache:
     z3: np.ndarray = None
     omega: np.ndarray = None
     top_idx: np.ndarray = None
+    z3_top: np.ndarray = None
     z4: np.ndarray = None
     phi: np.ndarray = None
 
@@ -379,35 +392,37 @@ def forward_batch(
         cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
         signal = cache.signal_acts[-1]
         pre1 += (signal @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
-    z1 = sigmoid(pre1)
-    cache.z1 = z1
 
-    z1e, z1o = z1[:, 0::2], z1[:, 1::2]
+    # Pooling picks among sigmoid values and the sigmoid is monotone, so it
+    # picks on the pre-activations and runs the sigmoid on the picks alone.
     if cfg.fusion == "gating":
+        z1 = sigmoid(pre1)
         u, cache.gate_in = _guided_linear(cache, p.gate_local_w[None], cfg,
                                           cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
         alpha = sigmoid(u[..., 0] + p.gate_local_b)
-        z2 = alpha[..., None] * z1e + (1.0 - alpha)[..., None] * z1o
-        cache.alpha = alpha
+        z2 = alpha[..., None] * z1[:, 0::2] + (1.0 - alpha)[..., None] * z1[:, 1::2]
+        cache.z1, cache.alpha = z1, alpha
     else:
-        take = z1e >= z1o
-        z2 = np.where(take, z1e, z1o)
+        take = pre1[:, 0::2] >= pre1[:, 1::2]
+        z2 = sigmoid(np.where(take, pre1[:, 0::2], pre1[:, 1::2]))
         cache.take = take
     cache.z2 = z2
 
     w3 = _windows(z2, cfg.conv_locs3)
-    z3 = sigmoid(_matmul(w3, p.conv3_w.T) + p.conv3_b)
-    cache.windows3, cache.z3 = w3, z3
+    pre3 = _matmul(w3, p.conv3_w.T) + p.conv3_b
+    cache.windows3 = w3
 
     if cfg.fusion == "gating":
+        z3 = sigmoid(pre3)
         scores = _matmul(z3, p.gate_global_w[:, None])[..., 0]
         omega = softmax(scores, axis=1)
         z4 = np.einsum("bl,blf->bf", omega, z3)
-        cache.omega = omega
+        cache.z3, cache.omega = z3, omega
     else:
-        top_idx = np.argsort(-z3, axis=1, kind="stable")[:, : cfg.pool_k]
-        z4 = np.take_along_axis(z3, top_idx, axis=1).mean(axis=1)
-        cache.top_idx = top_idx
+        top_idx = np.argsort(-pre3, axis=1, kind="stable")[:, : cfg.pool_k]
+        z3_top = sigmoid(np.take_along_axis(pre3, top_idx, axis=1))
+        z4 = z3_top.mean(axis=1)
+        cache.top_idx, cache.z3_top = top_idx, z3_top
     cache.z4 = z4
 
     phi = sigmoid(z4 @ p.proj_w.T + p.proj_b)
@@ -431,28 +446,29 @@ def backward_batch(
     grads = {}
     dz4 = sigmoid_layer_backward(dphi, cache.z4, cache.phi, "proj", grads) @ p.proj_w
 
-    z3 = cache.z3
     if cfg.fusion == "gating":
-        omega = cache.omega
+        z3, omega = cache.z3, cache.omega
         dz3 = omega[..., None] * dz4[:, None, :]
         domega = np.einsum("bf,blf->bl", dz4, z3)
         inner = np.einsum("bl,bl->b", omega, domega)
         dscores = omega * (domega - inner[:, None])
         grads["gate_global_w"] = np.einsum("bl,blf->f", dscores, z3)
         dz3 += dscores[..., None] * p.gate_global_w
+        dpre3 = sigmoid_layer_backward(dz3, cache.windows3, z3, "conv3", grads)
     else:
-        # A feature's top-k locations are distinct: assignment is the scatter-add.
-        dz3 = np.zeros_like(z3)
-        np.put_along_axis(dz3, cache.top_idx, (dz4 / cfg.pool_k)[:, None, :], axis=1)
-
-    dpre3 = sigmoid_layer_backward(dz3, cache.windows3, z3, "conv3", grads)
+        # Only the top-k locations have a gradient. They are distinct, so
+        # assignment is the scatter-add.
+        z3_top = cache.z3_top
+        dtop = (dz4 / cfg.pool_k)[:, None, :] * z3_top * (1.0 - z3_top)
+        dpre3 = np.zeros((*cache.windows3.shape[:2], cfg.filters3), dtop.dtype)
+        np.put_along_axis(dpre3, cache.top_idx, dtop, axis=1)
+        linear_backward(dpre3, cache.windows3, "conv3", grads)
     dz2 = _windows_backward(_matmul(dpre3, p.conv3_w), np.zeros_like(cache.z2))
 
-    z1 = cache.z1
-    dz1 = np.empty_like(z1)
     dsrc_rows = np.zeros_like(cache.src_rows)
     if cfg.fusion == "gating":
-        alpha = cache.alpha
+        z1, alpha = cache.z1, cache.alpha
+        dz1 = np.empty_like(z1)
         dz1[:, 0::2] = alpha[..., None] * dz2
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
@@ -461,12 +477,14 @@ def backward_batch(
             cache, du[..., None], cache.gate_in, p.gate_local_w[None], cfg,
             dsrc_rows, LOCAL_PAIR)[0]
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
+        dpre1 = dz1 * z1 * (1.0 - z1)
     else:
-        take = cache.take
-        dz1[:, 0::2] = np.where(take, dz2, 0.0)
-        dz1[:, 1::2] = np.where(take, 0.0, dz2)
-
-    dpre1 = dz1 * z1 * (1.0 - z1)
+        # Only the taken member of each pair has a gradient.
+        take, z2 = cache.take, cache.z2
+        dpool = dz2 * z2 * (1.0 - z2)
+        dpre1 = np.empty((len(z2), cfg.conv_locs1, z2.shape[2]), dpool.dtype)
+        dpre1[:, 0::2] = np.where(take, dpool, 0.0)
+        dpre1[:, 1::2] = np.where(take, 0.0, dpool)
     dw1 = _guided_linear_backward(cache, dpre1, cache.windows1,
                                   p.conv1_w[:, cfg.prefix_dim :], cfg, dsrc_rows)
     if cfg.arch == "attention":

@@ -277,23 +277,6 @@ def _hidden_stack(phi, hist, p):
     return x0, sigmoid_stack(x0, p.hidden_layers)
 
 
-def _log_normalizer(tile: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fold a tile of logits into each row's running logsumexp.
-
-    ``m`` is each row's running max and ``s`` its running sum of
-    ``exp(logit - m)``; both are updated in place, and ``tile`` is overwritten
-    with ``exp(tile - m)``. Returns the logsumexp ``m + log(s)`` of every
-    column folded so far.
-    """
-    new_m = np.maximum(m, tile.max(axis=1))
-    s *= np.exp(m - new_m)
-    m[...] = new_m
-    tile -= m[:, None]
-    np.exp(tile, out=tile)
-    s += tile.sum(axis=1)
-    return m + np.log(s)
-
-
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     """Bounds of the ``ceil(n / SCORE_ROWS)`` scoring blocks over ``n``
     distinct predictor rows: consecutive, covering ``range(n)``, with sizes
@@ -381,10 +364,18 @@ def log_probs_batch(
     on its distinct encoder inputs, keeping only their representations, then
     the hidden stack, then sweeps ``softmax_w`` in ``SOFTMAX_TILE``-word
     tiles: one GEMM into one block-by-tile scratch, its samples' target
-    logits read from the tile that holds them, and the tile folded into the
-    running normalizer. An encoder input whose rows straddle two blocks runs
-    in both. So no encoder cache outlives its block, and neither the
-    samples-by-vocabulary matrix nor a block-by-vocabulary one is built.
+    logits read from the tile that holds them, and the tile folded into each
+    row's sum of exponentials. An encoder input whose rows straddle two
+    blocks runs in both. So no encoder cache outlives its block, and neither
+    the samples-by-vocabulary matrix nor a block-by-vocabulary one is built.
+
+    The fold takes two passes over a tile. The bias and each row's shift
+    enter the GEMM as two more columns, ``[h, 1, -shift] @ [w, b, 1].T``.
+    The shift is the row's max over the first tile; a later tile is only
+    checked against the limit below, exponentiated and summed. A row whose
+    tile rises more than that limit above its shift, where the row's sum
+    could overflow, raises its shift to the tile's max and rescales its sum,
+    that row alone.
     """
     pc = compute_params(p)
     dtype = pc.softmax_w.dtype
@@ -395,7 +386,13 @@ def log_probs_batch(
     enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
     first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
-    vocab = pc.target_vocab_size
+    vocab, hidden = pc.softmax_w.shape
+    # Below this, a row's vocab terms sum to under the dtype's largest value,
+    # with one nat to spare for the rounding of the sum.
+    limit = np.log(np.finfo(dtype).max) - np.log(vocab) - 1.0
+    # The [w, b, 1] rows of one tile.
+    tile_w = np.empty((min(SOFTMAX_TILE, vocab), hidden + 2), dtype=dtype)
+    tile_w[:, hidden + 1] = 1.0
     for lo, hi in _row_blocks(len(first)):
         rows = first[lo:hi]
         # Sorted by encoder slot first, so the block's inputs are one run.
@@ -404,22 +401,42 @@ def log_probs_batch(
         phi = enc.forward_batch(batch.ids[src], batch.aff_mask[src],
                                 batch.head_mask[src], batch.hist[src], cfg, pc)[0]
         _, acts = _hidden_stack(phi[enc_slot[rows] - enc_lo], batch.hist[rows], pc)
+        x = np.empty((hi - lo, hidden + 2), dtype=dtype)
+        x[:, :hidden] = acts[-1]
+        x[:, hidden] = 1.0
+        x[:, hidden + 1] = 0.0
+        shift = np.zeros(hi - lo, dtype=dtype)
+        s = np.zeros_like(shift)
         members = order[starts[lo] : starts[hi]]
         at = slot[members] - lo
         tile_of, column = np.divmod(batch.targets[members], SOFTMAX_TILE)
-        m = np.full(hi - lo, -np.inf, dtype=dtype)
-        s = np.zeros_like(m)
-        scratch = np.empty((hi - lo) * min(SOFTMAX_TILE, vocab), dtype=dtype)
+        # The shift each target logit was read against.
+        read_shift = np.empty(len(members), dtype=dtype)
+        scratch = np.empty((hi - lo) * len(tile_w), dtype=dtype)
         for t, v in enumerate(range(0, vocab, SOFTMAX_TILE)):
-            w = pc.softmax_w[v : v + SOFTMAX_TILE]
+            w = tile_w[: min(SOFTMAX_TILE, vocab - v)]
+            w[:, :hidden] = pc.softmax_w[v : v + len(w)]
+            w[:, hidden] = pc.softmax_b[v : v + len(w)]
             # Contiguous even for the ragged last tile, so numpy need not buffer.
             logits = scratch[: (hi - lo) * len(w)].reshape(hi - lo, len(w))
-            np.matmul(acts[-1], w.T, out=logits)
-            logits += pc.softmax_b[v : v + len(w)]
+            np.matmul(x, w.T, out=logits)
             here = tile_of == t
             out[members[here]] = logits[at[here], column[here]]
-            log_norm = _log_normalizer(logits, m, s)
-        out[members] -= log_norm[at]
+            read_shift[here] = shift[at[here]]
+            # The first tile sets every row's shift; a later one moves only
+            # the rows that it lifts past the limit.
+            top = logits.max(axis=1)
+            hot = slice(None) if t == 0 else np.flatnonzero(top > limit)
+            step = top[hot]
+            logits[hot] -= step[:, None]
+            if t:
+                s[hot] *= np.exp(-step)
+            shift[hot] += step
+            x[hot, hidden + 1] = -shift[hot]
+            np.exp(logits, out=logits)
+            s += logits.sum(axis=1)
+        # Read against shift r, a target scores (logit - r) - ((shift - r) + log s).
+        out[members] -= (shift[at] - read_shift) + np.log(s)[at]
     return out
 
 

@@ -422,12 +422,31 @@ def test_local_gate_is_convex_blend():
     assert np.allclose(high.z2, high.z1[:, 0::2], atol=1e-10)
 
 
+def pooling_reference(cache, cfg, p):
+    """The pooling ablation as sigmoid, then pool, for a generic-arch
+    ``cache`` and float64 ``p``: conv1's pre-activations ``pre1``, the dense
+    sigmoid layers ``z1`` and ``z3``, the picks ``take`` and ``top_idx`` made
+    on sigmoid values, the pair max ``z2``, conv3's input ``windows3`` and the
+    top-k mean ``z4``."""
+    pre1 = _guided_linear(cache, p.conv1_w, cfg, cfg.conv_locs1, bias=p.conv1_b)[0]
+    z1 = sigmoid(pre1)
+    take = z1[:, 0::2] >= z1[:, 1::2]
+    z2 = np.where(take, z1[:, 0::2], z1[:, 1::2])
+    windows3 = _windows(z2, cfg.conv_locs3)
+    z3 = sigmoid(_matmul(windows3, p.conv3_w.T) + p.conv3_b)
+    top_idx = np.argsort(-z3, axis=1, kind="stable")[:, : cfg.pool_k]
+    z4 = np.take_along_axis(z3, top_idx, axis=1).mean(axis=1)
+    return dict(pre1=pre1, z1=z1, take=take, z2=z2, windows3=windows3, z3=z3,
+                top_idx=top_idx, z4=z4)
+
+
 def test_pool_local_elementwise_max():
     cfg = small_cfg(fusion="pooling")
-    _, cache = encode_one(cfg, make_joint(cfg, seed=3), IDS)
+    joint = make_joint(cfg, seed=3)
+    _, cache = encode_one(cfg, joint, IDS)
+    z1 = pooling_reference(cache, cfg, joint.astype(np.float64))["z1"]
     assert cache.z2.shape == (1, cfg.fused_locs, cfg.filters1)
-    assert np.array_equal(cache.z2,
-                          np.maximum(cache.z1[:, 0::2], cache.z1[:, 1::2]))
+    assert np.array_equal(cache.z2, np.maximum(z1[:, 0::2], z1[:, 1::2]))
 
 
 def test_global_gate_weights_normalize():
@@ -453,10 +472,64 @@ def test_global_gate_uniform_for_zero_scores():
 
 def test_pool_global_top_k_mean():
     cfg = small_cfg(fusion="pooling", maxlen=16, pool_k=3)
-    _, cache = encode_one(cfg, make_joint(cfg, seed=5), IDS + (4, 5, 6, 7, 8, 9))
-    top = -np.sort(-cache.z3[0], axis=0)[: cfg.pool_k]
-    assert cache.z3.shape == (1, cfg.conv_locs3, cfg.filters3)
-    assert np.allclose(cache.z4[0], top.mean(axis=0), atol=1e-15)
+    joint = make_joint(cfg, seed=5)
+    _, cache = encode_one(cfg, joint, IDS + (4, 5, 6, 7, 8, 9))
+    z3 = pooling_reference(cache, cfg, joint.astype(np.float64))["z3"]
+    top = -np.sort(-z3[0], axis=0)[: cfg.pool_k]
+    assert z3.shape == (1, cfg.conv_locs3, cfg.filters3)
+    assert cache.z3_top.shape == (1, cfg.pool_k, cfg.filters3)
+    assert np.array_equal(cache.z4[0], top.mean(axis=0))
+
+
+@pytest.mark.parametrize("pool_k", [1, 2])
+def test_pooling_on_pre_activations_through_ties_and_saturation(pool_k):
+    # A run of one repeated word gives windows, and so conv1 pairs and conv3
+    # locations, whose pre-activations tie exactly. Biases of 42 put filters
+    # where the sigmoid rounds to exactly 1.0: their values tie while their
+    # pre-activations differ, so picking on pre-activations takes other
+    # members than picking on sigmoid values. Values and gradients must
+    # still be those of sigmoid, then pool, with dense sigmoid layers.
+    cfg = small_cfg(fusion="pooling", maxlen=16, pool_k=pool_k)
+    p = make_joint(cfg, seed=7).astype(np.float64)
+    p.conv1_b[:3] = 42.0
+    p.conv3_b[:2] = 42.0
+    ids = np.array([(PAD_ID,) * 2 + (4,) * 12 + (5, 6),
+                    (PAD_ID,) * 4 + (7, 8, 9, 10, 11, 4, 4, 4, 4, 4, 4, 5)])
+    none = np.zeros(ids.shape, dtype=bool)
+    phi, cache = forward_batch(ids, none, none, None, cfg, p)
+    ref = pooling_reference(cache, cfg, p)
+    pre1, z1 = ref["pre1"], ref["z1"]
+    assert np.any(pre1[:, 0::2] == pre1[:, 1::2])
+    assert np.any((z1[:, 0::2] == 1.0) & (z1[:, 1::2] == 1.0)
+                  & (pre1[:, 0::2] < pre1[:, 1::2]))
+    assert np.any(cache.take != ref["take"])
+    assert np.any(cache.top_idx != ref["top_idx"])
+    assert np.array_equal(cache.z2, ref["z2"])
+    assert np.array_equal(cache.z4, ref["z4"])
+
+    dphi = np.random.default_rng(7).normal(size=phi.shape)
+    grads, _ = backward_batch(cache, dphi, cfg, p)
+    want = {}
+    dz4 = sigmoid_layer_backward(dphi, cache.z4, phi, "proj", want) @ p.proj_w
+    dz3 = np.zeros_like(ref["z3"])
+    np.put_along_axis(dz3, ref["top_idx"], (dz4 / pool_k)[:, None, :], axis=1)
+    dpre3 = sigmoid_layer_backward(dz3, ref["windows3"], ref["z3"], "conv3", want)
+    dz2 = _windows_backward(_matmul(dpre3, p.conv3_w), np.zeros_like(ref["z2"]))
+    take = ref["take"]
+    dz1 = np.empty_like(z1)
+    dz1[:, 0::2] = np.where(take, dz2, 0.0)
+    dz1[:, 1::2] = np.where(take, 0.0, dz2)
+    dpre1 = dz1 * z1 * (1.0 - z1)
+    dsrc_rows = np.zeros_like(cache.src_rows)
+    want["conv1_w"] = _guided_linear_backward(cache, dpre1, cache.windows1,
+                                              p.conv1_w, cfg, dsrc_rows)
+    want["conv1_b"] = dpre1.reshape(-1, cfg.filters1).sum(axis=0)
+    want["src_embeddings"] = encoder.embedding_grad(p.src_embeddings, cache.src,
+                                                    dsrc_rows)
+    assert grads.keys() == want.keys()
+    for name, g in want.items():
+        assert np.any(g != 0.0), name
+        assert np.array_equal(grads[name], g), name
 
 
 def test_project_final_range_and_value():

@@ -223,6 +223,52 @@ def test_log_probs_batch_folds_tiles_past_exp_range(monkeypatch):
     assert np.allclose(log_probs_batch(samples, cfg, p), expected, rtol=0, atol=1e-12)
 
 
+def test_log_probs_batch_rescales_only_rows_past_the_limit(monkeypatch):
+    # One block of rows over 43 tiles of 7 words. Hidden unit 0 is on only
+    # for rows whose first history word is HOT, and a middle tile's bias of
+    # 695 and weight of 30 on that unit lift the tile more than log(float64
+    # max) above the first tile in those rows: past the fold's limit, so they
+    # rescale there. Every tile of the other rows stays more than
+    # log(vocab) + 1 below that, so they never do.
+    monkeypatch.setattr(jointlm, "SOFTMAX_TILE", 7)
+    cfg = small_cfg()
+    vocab, mid, hot = 300, slice(140, 147), 5
+    p = make_joint(cfg, tgt_v=vocab, seed=6).astype(np.float64)
+    w0, b0 = p.hidden_layers[0]
+    w0[0] = 0.0
+    w0[0, cfg.repr_dim] = 1.0
+    b0[0] = -5.0
+    p.softmax_b[mid] = 695.0
+    p.softmax_w[mid, 0] = 30.0
+    rng = np.random.default_rng(2)
+    samples = []
+    for i, s in enumerate(random_samples(cfg, 12, 8, tgt_v=vocab)):
+        first = hot if i % 3 == 0 else int(rng.integers(6, vocab))
+        for target in (2, 143, 299):
+            samples.append(replace(s, history=(first,) + s.history[1:], target=target))
+    cold_rows = [s.history[0] != hot for s in samples]
+    drawn = p.tgt_embeddings[hot, 0]
+    p.tgt_embeddings[hot, 0] = 10.0
+    got = log_probs_batch(samples, cfg, p)
+    _, _, pred = forward_batch(SampleBatch.from_samples(samples, cfg), cfg, p)
+    wide = np.longdouble
+    logits = (pred.hidden_acts[-1].astype(wide) @ p.softmax_w.T.astype(wide)
+              + p.softmax_b.astype(wide))
+    rise = logits.max(axis=1) - logits[:, :7].max(axis=1)
+    log_max = np.log(np.finfo(np.float64).max)
+    assert np.all(rise[~np.array(cold_rows)] > log_max)
+    assert np.all(rise[cold_rows] < log_max - np.log(vocab) - 1)
+    m = logits.max(axis=1, keepdims=True)
+    log_probs = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+    expected = [row[s.target] for row, s in zip(log_probs, samples)]
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    # With HOT's embedding as drawn, no row rescales, and the rows that never
+    # did score the same to the bit.
+    p.tgt_embeddings[hot, 0] = drawn
+    calm = log_probs_batch(samples, cfg, p)
+    assert np.array_equal(got[cold_rows], calm[cold_rows])
+
+
 def predictor_inputs(cfg, p, n, seed):
     rng = np.random.default_rng(seed)
     phi = rng.uniform(-1, 1, (n, cfg.repr_dim)).astype(p.softmax_w.dtype)
@@ -262,12 +308,14 @@ def test_predict_forward_holds_one_batch_by_vocabulary_buffer():
 
 def test_log_probs_batch_holds_one_block_by_tile_scratch():
     # About 64 distinct rows make one predictor block; its scratch is one
-    # block-by-tile buffer whatever the vocabulary size.
+    # block-by-tile buffer and one tile of [w, b, 1] weight rows whatever the
+    # vocabulary size.
     cfg = small_cfg()
     rows = 64
     hidden = (6,)
     acts = rows * (cfg.repr_dim + cfg.history * cfg.tgt_emb_dim + sum(hidden)) * 8
-    bound = rows * jointlm.SOFTMAX_TILE * 8 + acts + 128 * 1024
+    tile_weights = jointlm.SOFTMAX_TILE * (hidden[-1] + 2) * 8
+    bound = rows * jointlm.SOFTMAX_TILE * 8 + acts + tile_weights + 128 * 1024
     peaks = []
     for vocab in (5000, 20000):
         p = make_joint(cfg, tgt_v=vocab, hidden=hidden).astype(np.float64)
