@@ -46,21 +46,27 @@ PARAM_DTYPE = np.float32
 # the resident set by about 45 MB on one product of ~20k rows; blocks of this
 # size keep that growth to about 5 MB at the same speed.
 GEMM_ROWS = 2048
+# Byte budget of one chunk of the encoder's per-sample element-wise passes.
+# A pass over a whole batch's pre-activations runs at memory speed; over
+# chunks of this size it stays in cache.
+CHUNK_BYTES = 512 * 1024
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function, elementwise: with e = exp(-|x|),
-    1 / (1 + e) for x >= 0 and e / (1 + e) below, computed in place as
-    exp(min(x, 0)) / (1 + e)."""
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, computed as
+    exp(min(x, 0)) / (1 + e) into ``out``, which may be ``x`` itself."""
     x = np.asarray(x)
     # The result is allocated before the temporary: a freed temporary below a
     # kept result is a heap hole that the allocator does not hand back.
-    out = np.minimum(x, 0.0, out=np.empty(x.shape, np.result_type(x, 1.0)))
-    np.exp(out, out=out)
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x, 1.0))
     e = np.abs(x, out=np.empty_like(out))
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
     out /= e
     return out
 
@@ -283,6 +289,13 @@ def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunks(n: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Bounds of consecutive chunks covering ``range(n)``, each as many rows
+    of ``row_bytes`` as fit in ``CHUNK_BYTES``, and at least one."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def group_rows(key: np.ndarray) -> tuple[np.ndarray, ...]:
     """Group the equal rows of a 2-D non-negative int ``key``.
 
@@ -310,19 +323,23 @@ def _group_sum(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarr
 
 def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
                    span: int = CONV_WINDOW, step: int = 1,
-                   bias: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample ``_windows(layer0, n, span, step) @ w.T`` for a 2-D weight
-    over windows of layer-0 rows (a source embedding, then the sample's tag
-    columns), and the per-source embedding windows it read: the word columns
-    run once per distinct source, gathered by ``src_of``, the tag columns per
-    sample. ``bias`` joins the per-source word term ahead of the tag term;
-    that order fixes the result's rounding."""
+                   bias: np.ndarray | float = 0.0
+                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The two terms of the per-sample ``_windows(layer0, n, span, step) @
+    w.T`` for a 2-D weight over windows of layer-0 rows (a source embedding,
+    then the sample's tag columns), and the per-source embedding windows it
+    read. The word term runs once per distinct source, sample i reads its
+    row ``src_of[i]``; the tag term is per sample, None without tag columns.
+    ``bias`` joins the word term. Sample i's product is its word row plus its
+    tag row, in that order, which fixes the rounding."""
     w_word, w_tag = _split_columns(w, cfg)
     windows = _windows(cache.src_rows, n, span, step)
-    out = (_matmul(windows, w_word.reshape(len(w), -1).T) + bias)[cache.src_of]
+    word = _matmul(windows, w_word.reshape(len(w), -1).T)
+    word += bias
+    tag = None
     if cfg.tag_bits:
-        out += _matmul(_windows(cache.tags, n, span, step), w_tag.reshape(len(w), -1).T)
-    return out, windows
+        tag = _matmul(_windows(cache.tags, n, span, step), w_tag.reshape(len(w), -1).T)
+    return word, tag, windows
 
 
 def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, windows: np.ndarray,
@@ -371,7 +388,10 @@ def forward_batch(
 
     The guides enter the first layer linearly, so the word-column terms of
     conv1 and of the local gate run once per distinct row of ``ids``; each
-    sample adds its own tag-column and attention-signal terms.
+    sample adds its own tag-column and attention-signal terms. The per-sample
+    element-wise passes run over chunks of samples of about ``CHUNK_BYTES``
+    each, so conv1's full pre-activation never exists; every value is
+    bit-identical to a pass over the whole batch.
     """
     batch = ids.shape[0]
     first, src_of, src_order, src_starts = group_rows(ids)
@@ -385,44 +405,74 @@ def forward_batch(
         guides = np.stack((aff_mask, head_mask)[: cfg.tag_bits], axis=2)
         cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(src_rows.dtype)
 
-    pre1, cache.windows1 = _guided_linear(cache, p.conv1_w[:, cfg.prefix_dim :],
-                                          cfg, cfg.conv_locs1, bias=p.conv1_b)
+    word1, tag1, cache.windows1 = _guided_linear(
+        cache, p.conv1_w[:, cfg.prefix_dim :], cfg, cfg.conv_locs1, bias=p.conv1_b)
+    signal1 = None
     if cfg.arch == "attention":
         cache.hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
         cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
-        signal = cache.signal_acts[-1]
-        pre1 += (signal @ p.conv1_w[:, : cfg.prefix_dim].T)[:, None, :]
+        signal1 = cache.signal_acts[-1] @ p.conv1_w[:, : cfg.prefix_dim].T
 
+    dtype = word1.dtype
+    gating = cfg.fusion == "gating"
+    if gating:
+        u_word, u_tag, cache.gate_in = _guided_linear(
+            cache, p.gate_local_w[None], cfg, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
+        u = u_word[cache.src_of]
+        if u_tag is not None:
+            u += u_tag
+        cache.alpha = sigmoid(u[..., 0] + p.gate_local_b)
+        cache.z1 = np.empty((batch, cfg.conv_locs1, cfg.filters1), dtype)
+    else:
+        cache.take = np.empty((batch, cfg.fused_locs, cfg.filters1), bool)
+    cache.z2 = np.empty((batch, cfg.fused_locs, cfg.filters1), dtype)
+
+    # conv1's pre-activations exist a chunk at a time: the word row, plus the
+    # tag row, plus the signal, then the element-wise layers into the cache.
     # Pooling picks among sigmoid values and the sigmoid is monotone, so it
     # picks on the pre-activations and runs the sigmoid on the picks alone.
-    if cfg.fusion == "gating":
-        z1 = sigmoid(pre1)
-        u, cache.gate_in = _guided_linear(cache, p.gate_local_w[None], cfg,
-                                          cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
-        alpha = sigmoid(u[..., 0] + p.gate_local_b)
-        z2 = alpha[..., None] * z1[:, 0::2] + (1.0 - alpha)[..., None] * z1[:, 1::2]
-        cache.z1, cache.alpha = z1, alpha
-    else:
-        take = pre1[:, 0::2] >= pre1[:, 1::2]
-        z2 = sigmoid(np.where(take, pre1[:, 0::2], pre1[:, 1::2]))
-        cache.take = take
-    cache.z2 = z2
+    chunks = _chunks(batch, dtype.itemsize * cfg.conv_locs1 * cfg.filters1)
+    buf = np.empty((chunks[0][1], *word1.shape[1:]), dtype)
+    for lo, hi in chunks:
+        pre1 = np.take(word1, cache.src_of[lo:hi], axis=0, out=buf[: hi - lo],
+                       mode="clip")
+        if tag1 is not None:
+            pre1 += tag1[lo:hi]
+        if signal1 is not None:
+            pre1 += signal1[lo:hi, None, :]
+        z2 = cache.z2[lo:hi]
+        if gating:
+            z1, alpha = sigmoid(pre1, out=cache.z1[lo:hi]), cache.alpha[lo:hi, :, None]
+            np.multiply(alpha, z1[:, 0::2], out=z2)
+            z2 += (1.0 - alpha) * z1[:, 1::2]
+        else:
+            take = np.greater_equal(pre1[:, 0::2], pre1[:, 1::2],
+                                    out=cache.take[lo:hi])
+            sigmoid(np.where(take, pre1[:, 0::2], pre1[:, 1::2]), out=z2)
+    del word1, tag1, buf
 
-    w3 = _windows(z2, cfg.conv_locs3)
-    pre3 = _matmul(w3, p.conv3_w.T) + p.conv3_b
-    cache.windows3 = w3
+    cache.windows3 = _windows(cache.z2, cfg.conv_locs3)
+    pre3 = _matmul(cache.windows3, p.conv3_w.T)
+    if not gating:
+        cache.top_idx = np.empty((batch, cfg.pool_k, cfg.filters3), np.intp)
+        cache.z3_top = np.empty(cache.top_idx.shape, dtype)
+    for lo, hi in _chunks(batch, dtype.itemsize * cfg.conv_locs3 * cfg.filters3):
+        pre = pre3[lo:hi]
+        pre += p.conv3_b
+        if gating:
+            sigmoid(pre, out=pre)
+        else:
+            top = np.argsort(np.negative(pre), axis=1, kind="stable")[:, : cfg.pool_k]
+            cache.top_idx[lo:hi] = top
+            sigmoid(np.take_along_axis(pre, top, axis=1), out=cache.z3_top[lo:hi])
 
-    if cfg.fusion == "gating":
-        z3 = sigmoid(pre3)
+    if gating:
+        z3 = cache.z3 = pre3  # the sigmoid layer, computed in place
         scores = _matmul(z3, p.gate_global_w[:, None])[..., 0]
-        omega = softmax(scores, axis=1)
+        omega = cache.omega = softmax(scores, axis=1)
         z4 = np.einsum("bl,blf->bf", omega, z3)
-        cache.z3, cache.omega = z3, omega
     else:
-        top_idx = np.argsort(-pre3, axis=1, kind="stable")[:, : cfg.pool_k]
-        z3_top = sigmoid(np.take_along_axis(pre3, top_idx, axis=1))
-        z4 = z3_top.mean(axis=1)
-        cache.top_idx, cache.z3_top = top_idx, z3_top
+        z4 = cache.z3_top.mean(axis=1)
     cache.z4 = z4
 
     phi = sigmoid(z4 @ p.proj_w.T + p.proj_b)

@@ -14,7 +14,8 @@ predictor input.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -222,43 +223,78 @@ class SampleBatch:
     def from_samples(
         cls, samples: Sequence[TrainingSample], cfg: EncoderConfig
     ) -> "SampleBatch":
+        """Packs the samples column by column. Each distinct source tuple
+        becomes one row, gathered per sample. A bad sample raises
+        ``ConfigError``: the first bad sample, at its first failing check."""
         if not samples:
             raise ConfigError("cannot build a batch from zero samples")
         n = len(samples)
-        ids = np.empty((n, cfg.maxlen), dtype=np.int64)
+        index: dict[tuple[int, ...], int] = {}
+        src_of = np.fromiter((index.setdefault(s.source_ids, len(index))
+                              for s in samples), np.intp, n)
+        src_len = np.fromiter(map(len, index), np.intp, len(index))
+        hist_len = np.fromiter((len(s.history) for s in samples), np.intp, n)
+        aff_rows, aff_pos = _positions(s.affiliated for s in samples)
+        head_rows, head_pos = _positions(s.head_positions for s in samples)
+        off_guide = np.zeros(n, dtype=bool)
+        for rows, pos in ((aff_rows, aff_pos), (head_rows, head_pos)):
+            off_guide[rows[(pos < 0) | (pos >= cfg.maxlen)]] = True
+        bad = (src_len[src_of] != cfg.maxlen) | (hist_len != cfg.history) | off_guide
+        if bad.any():
+            _reject(int(np.argmax(bad)), samples, cfg)
+        table = np.fromiter(chain.from_iterable(index), np.int64,
+                            len(index) * cfg.maxlen).reshape(len(index), cfg.maxlen)
+        hist = np.fromiter(chain.from_iterable(s.history for s in samples), np.int64,
+                           n * cfg.history).reshape(n, cfg.history)
         aff = np.zeros((n, cfg.maxlen), dtype=bool)
+        aff[aff_rows, aff_pos] = True
         head = np.zeros((n, cfg.maxlen), dtype=bool)
-        hist = np.empty((n, cfg.history), dtype=np.int64)
-        targets = np.empty(n, dtype=np.int64)
-        for i, s in enumerate(samples):
-            if len(s.source_ids) != cfg.maxlen:
-                raise ConfigError(
-                    f"sample {i} has {len(s.source_ids)} source ids, "
-                    f"expected {cfg.maxlen}"
-                )
-            if len(s.history) != cfg.history:
-                raise ConfigError(
-                    f"sample {i} has history length {len(s.history)}, "
-                    f"expected {cfg.history}"
-                )
-            bad = {p for p in (*s.affiliated, *s.head_positions)
-                   if not 0 <= p < cfg.maxlen}
-            if bad:
-                raise ConfigError(
-                    f"sample {i} has guide positions {sorted(bad)} "
-                    f"outside [0, {cfg.maxlen})"
-                )
-            ids[i] = s.source_ids
-            if s.affiliated:
-                aff[i, list(s.affiliated)] = True
-            if s.head_positions:
-                head[i, list(s.head_positions)] = True
-            hist[i] = s.history
-            targets[i] = s.target
-        return cls(ids=ids, aff_mask=aff, head_mask=head, hist=hist, targets=targets)
+        head[head_rows, head_pos] = True
+        return cls(ids=table[src_of], aff_mask=aff, head_mask=head, hist=hist,
+                   targets=np.fromiter((s.target for s in samples), np.int64, n))
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+
+def _positions(sets: Iterable[frozenset[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each position of each sample's set, flattened, and its sample."""
+    sets = list(sets)
+    counts = np.fromiter(map(len, sets), np.intp, len(sets))
+    pos = np.fromiter(chain.from_iterable(sets), np.int64, int(counts.sum()))
+    return np.repeat(np.arange(len(sets)), counts), pos
+
+
+def _reject(i: int, samples: Sequence[TrainingSample], cfg: EncoderConfig) -> NoReturn:
+    """Raises the ``ConfigError`` of sample i's first failing check."""
+    s = samples[i]
+    if len(s.source_ids) != cfg.maxlen:
+        raise ConfigError(
+            f"sample {i} has {len(s.source_ids)} source ids, expected {cfg.maxlen}")
+    if len(s.history) != cfg.history:
+        raise ConfigError(
+            f"sample {i} has history length {len(s.history)}, expected {cfg.history}")
+    bad = {p for p in (*s.affiliated, *s.head_positions) if not 0 <= p < cfg.maxlen}
+    raise ConfigError(
+        f"sample {i} has guide positions {sorted(bad)} outside [0, {cfg.maxlen})")
+
+
+def check_ids(batch: SampleBatch, p: JointModelParams) -> None:
+    """Raises ``ConfigError`` naming the first sample of ``batch`` with an id
+    outside its vocabulary: a source id outside ``p``'s source embeddings, or
+    a history or target id outside its target vocabulary."""
+    columns = (("source", batch.ids, p.src_embeddings.shape[0]),
+               ("history", batch.hist, p.tgt_embeddings.shape[0]),
+               ("target", batch.targets[:, None], p.target_vocab_size))
+    bad = [(ids < 0) | (ids >= size) for _, ids, size in columns]
+    rows = np.logical_or.reduce([b.any(axis=1) for b in bad])
+    if not rows.any():
+        return
+    i = int(np.argmax(rows))
+    for (what, ids, size), b in zip(columns, bad):
+        if b[i].any():
+            raise ConfigError(
+                f"sample {i} has {what} id {ids[i][b[i]][0]} outside [0, {size})")
 
 
 @dataclass
@@ -376,6 +412,8 @@ def log_probs_batch(
     tile rises more than that limit above its shift, where the row's sum
     could overflow, raises its shift to the tile's max and rescales its sum,
     that row alone.
+
+    An id outside its vocabulary raises ``ConfigError`` (``check_ids``).
     """
     pc = compute_params(p)
     dtype = pc.softmax_w.dtype
@@ -383,6 +421,7 @@ def log_probs_batch(
     if not samples:
         return out
     batch = SampleBatch.from_samples(samples, cfg)
+    check_ids(batch, pc)
     enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
     first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))

@@ -125,8 +125,10 @@ def backward(
 
     The target embedding gradient gathers the predictor-input path and, for
     the attention arch, the guide-signal path. PAD embedding rows stay at
-    zero gradient: they are constants of the model.
+    zero gradient: they are constants of the model. An id outside its
+    vocabulary raises ``ConfigError`` (``jointlm.check_ids``).
     """
+    jm.check_ids(batch, params)
     pc = jm.compute_params(params)  # one cast serves the forward and backward pass
     dlogits, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc)
     n = len(batch)

@@ -1,5 +1,7 @@
 """Encoder layers: shapes, hand values, and agreement with the loop oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cjlm import encoder
 from cjlm.encoder import (
     ARCHS,
+    FUSIONS,
     EncoderConfig,
     _group_sum,
     _guided_linear,
@@ -59,6 +62,16 @@ def layer0(cache):
     return rows if cache.tags is None else np.concatenate([rows, cache.tags], axis=2)
 
 
+def guided_product(cache, *args, **kw):
+    """``_guided_linear``'s per-sample product, its word row plus its tag
+    row, and the windows it read."""
+    word, tag, windows = _guided_linear(cache, *args, **kw)
+    out = word[cache.src_of]
+    if tag is not None:
+        out += tag
+    return out, windows
+
+
 IDS = (PAD_ID, PAD_ID, 4, 5, 6, 7, 8, 9, 10, 11)
 
 
@@ -93,6 +106,18 @@ def test_group_rows_matches_row_unique(data):
     for g in range(len(first)):
         members = order[starts[g] : starts[g + 1]]
         assert np.array_equal(members, np.flatnonzero(of == g))
+
+
+def test_sigmoid_writes_into_out_even_over_its_input():
+    rng = np.random.default_rng(12)
+    x = rng.normal(scale=20.0, size=(5, 7))
+    ref = sigmoid(x)
+    out = np.full_like(x, np.nan)
+    assert sigmoid(x, out=out) is out
+    assert np.array_equal(out, ref)
+    y = x.copy()
+    assert sigmoid(y, out=y) is y
+    assert np.array_equal(y, ref)
 
 
 def test_softmax_hand_value():
@@ -428,7 +453,7 @@ def pooling_reference(cache, cfg, p):
     sigmoid layers ``z1`` and ``z3``, the picks ``take`` and ``top_idx`` made
     on sigmoid values, the pair max ``z2``, conv3's input ``windows3`` and the
     top-k mean ``z4``."""
-    pre1 = _guided_linear(cache, p.conv1_w, cfg, cfg.conv_locs1, bias=p.conv1_b)[0]
+    pre1 = guided_product(cache, p.conv1_w, cfg, cfg.conv_locs1, bias=p.conv1_b)[0]
     z1 = sigmoid(pre1)
     take = z1[:, 0::2] >= z1[:, 1::2]
     z2 = np.where(take, z1[:, 0::2], z1[:, 1::2])
@@ -740,6 +765,42 @@ def test_backward_batch_sums_per_sample_gradients(arch, fusion):
         assert dhist is None
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_chunks_leave_every_value_unchanged(arch, fusion, monkeypatch):
+    # The element-wise passes run over sample chunks of CHUNK_BYTES. Budgets
+    # of one byte (a sample per chunk), of four conv1 rows (chunks of 4, 4
+    # and 3 of the 11 samples) and of four conv3 rows (conv1 a sample at a
+    # time, conv3 in 4, 4 and 3) give the one-chunk run's values exactly.
+    cfg = small_cfg(arch=arch, fusion=fusion)
+    p = make_joint(cfg, seed=8).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(26))
+    args = (batch.ids, batch.aff_mask, batch.head_mask, batch.hist, cfg, p)
+    phi, cache = forward_batch(*args)
+    conv1_row = 8 * cfg.conv_locs1 * cfg.filters1
+    conv3_row = 8 * cfg.conv_locs3 * cfg.filters3
+    assert encoder._chunks(len(batch), conv1_row) == [(0, len(batch))]
+    for budget in (1, 4 * conv1_row, 4 * conv3_row):
+        monkeypatch.setattr(encoder, "CHUNK_BYTES", budget)
+        if budget > 1:
+            row = conv1_row if budget == 4 * conv1_row else conv3_row
+            assert encoder._chunks(len(batch), row) == [(0, 4), (4, 8), (8, 11)]
+        got_phi, got = forward_batch(*args)
+        assert np.array_equal(got_phi, phi), budget
+        for f in fields(cache):
+            want, have = getattr(cache, f.name), getattr(got, f.name)
+            if isinstance(want, list):
+                assert len(have) == len(want), f.name
+                assert all(map(np.array_equal, have, want)), f.name
+            elif want is None:
+                assert have is None, f.name
+            else:
+                assert have.dtype == want.dtype, f.name
+                assert np.array_equal(have, want), (budget, f.name)
+        test_forward_batch_matches_encode(arch, fusion)
+        test_backward_batch_sums_per_sample_gradients(arch, fusion)
+
+
 def guided_case(arch, span, step):
     """A cache over a batch with repeated sources, a weight over ``span``-row
     windows of layer-0 rows, and the window count ``n`` at ``step``."""
@@ -757,14 +818,14 @@ def guided_case(arch, span, step):
 @pytest.mark.parametrize("span,step", [(3, 1), (4, 2)])
 def test_guided_linear_is_the_layer0_window_product(arch, span, step):
     cfg, cache, w, n, rng = guided_case(arch, span, step)
-    out, windows = _guided_linear(cache, w, cfg, n, span, step)
+    out, windows = guided_product(cache, w, cfg, n, span, step)
     assert cache.src_rows.shape[0] == 3 < len(cache.src_of)
     ref = _windows(layer0(cache), n, span, step) @ w.T
     assert out.shape == ref.shape
     assert rel_err(out, ref) <= 1e-12
     assert np.array_equal(windows, _windows(cache.src_rows, n, span, step))
     bias = rng.normal(size=len(w))
-    biased, _ = _guided_linear(cache, w, cfg, n, span, step, bias=bias)
+    biased, _ = guided_product(cache, w, cfg, n, span, step, bias=bias)
     assert rel_err(biased, ref + bias) <= 1e-12
 
 
@@ -774,7 +835,7 @@ def test_guided_linear_backward_is_its_adjoint(arch, span, step):
     # The product is linear in w, and its word term is linear in the source
     # rows: <product, g> = <w, dw> and <word term, g> = <src_rows, dsrc_rows>.
     cfg, cache, w, n, rng = guided_case(arch, span, step)
-    out, windows = _guided_linear(cache, w, cfg, n, span, step)
+    out, windows = guided_product(cache, w, cfg, n, span, step)
     g = rng.normal(size=out.shape)
     start = rng.normal(size=cache.src_rows.shape)
     dsrc_rows = start.copy()

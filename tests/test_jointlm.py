@@ -19,6 +19,7 @@ from cjlm.jointlm import (
     param_spec,
     perplexity,
 )
+from cjlm.training import backward
 from cjlm.vocab import PAD_ID
 
 from oracles import reference_log_probs
@@ -408,6 +409,127 @@ def test_batch_validates_lengths():
                               good.target)
     with pytest.raises(ConfigError, match="history length"):
         SampleBatch.from_samples([bad_hist], cfg)
+
+
+def test_batch_rejects_guide_positions_outside_maxlen():
+    cfg = small_cfg(arch="tag_dep")
+    good = random_samples(cfg, 1, 1)[0]
+    negative = replace(good, affiliated=good.affiliated | {-1})
+    with pytest.raises(ConfigError, match=r"^sample 0 has guide positions \[-1\] "
+                                          r"outside \[0, 10\)$"):
+        SampleBatch.from_samples([negative], cfg)
+    at_maxlen = replace(good, head_positions=frozenset({cfg.maxlen}))
+    with pytest.raises(ConfigError, match=r"^sample 1 has guide positions \[10\] "
+                                          r"outside \[0, 10\)$"):
+        SampleBatch.from_samples([good, at_maxlen], cfg)
+    # Both sets' bad positions, once each, in order.
+    both = replace(good, affiliated=frozenset({-1, 12, 3}),
+                       head_positions=frozenset({12, -3}))
+    with pytest.raises(ConfigError, match=r"guide positions \[-3, -1, 12\] "):
+        SampleBatch.from_samples([both], cfg)
+
+
+def test_batch_error_names_the_first_bad_sample_and_its_first_check():
+    cfg = small_cfg(arch="tag_dep")
+    good = random_samples(cfg, 1, 1)[0]
+    short_src = replace(good, source_ids=good.source_ids[:-1])
+    short_hist = replace(good, history=good.history[:-1])
+    off_guide = replace(good, affiliated=frozenset({cfg.maxlen}))
+    all_three = replace(short_src, history=short_hist.history,
+                            affiliated=off_guide.affiliated)
+
+    def message(samples):
+        with pytest.raises(ConfigError) as e:
+            SampleBatch.from_samples(samples, cfg)
+        return str(e.value)
+
+    # Across samples: the first bad sample, whichever check a later one fails.
+    assert message([good, off_guide, short_src, short_hist]) == (
+        "sample 1 has guide positions [10] outside [0, 10)")
+    assert message([good, good, short_hist, short_src]) == (
+        "sample 2 has history length 2, expected 3")
+    # Within a sample: source length, then history length, then guides.
+    assert message([good, all_three]) == "sample 1 has 9 source ids, expected 10"
+    assert message([replace(short_hist, affiliated=off_guide.affiliated)]) == (
+        "sample 0 has history length 2, expected 3")
+
+
+def loop_batch(samples, cfg):
+    """The packed arrays built sample by sample."""
+    n = len(samples)
+    ids = np.empty((n, cfg.maxlen), dtype=np.int64)
+    aff = np.zeros((n, cfg.maxlen), dtype=bool)
+    head = np.zeros((n, cfg.maxlen), dtype=bool)
+    hist = np.empty((n, cfg.history), dtype=np.int64)
+    targets = np.empty(n, dtype=np.int64)
+    for i, s in enumerate(samples):
+        ids[i] = s.source_ids
+        aff[i, list(s.affiliated)] = True
+        head[i, list(s.head_positions)] = True
+        hist[i] = s.history
+        targets[i] = s.target
+    return dict(ids=ids, aff_mask=aff, head_mask=head, hist=hist, targets=targets)
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_batch_columns_match_a_per_sample_loop(arch):
+    # Shared source tuples with their own guides, exact duplicates, empty
+    # guide sets and heads.
+    cfg = small_cfg(arch=arch)
+    base = random_samples(cfg, 4, 3)
+    rng = np.random.default_rng(5)
+    samples = []
+    for i in rng.integers(0, 4, size=13):
+        s = base[i]
+        n_aff = int(rng.integers(0, 3))
+        samples.append(replace(
+            s, affiliated=frozenset(int(x) for x in rng.integers(0, cfg.maxlen, n_aff)),
+            head_positions=frozenset({int(rng.integers(cfg.maxlen))}),
+            target=int(rng.integers(2, 11))))
+    samples += [samples[0], samples[5], base[2]]
+    batch = SampleBatch.from_samples(samples, cfg)
+    assert len({s.source_ids for s in samples}) < len(samples)
+    for name, ref in loop_batch(samples, cfg).items():
+        got = getattr(batch, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("target", -1, "sample 2 has target id -1 outside [0, 11)"),
+    ("target", 5000, "sample 2 has target id 5000 outside [0, 11)"),
+    ("history", (3, -1, 4), "sample 2 has history id -1 outside [0, 11)"),
+    ("history", (3, 11, 4), "sample 2 has history id 11 outside [0, 11)"),
+    ("source_ids", (-1,) * 10, "sample 2 has source id -1 outside [0, 12)"),
+    ("source_ids", (PAD_ID,) * 9 + (12,), "sample 2 has source id 12 outside [0, 12)"),
+])
+@pytest.mark.parametrize("arch", ["tag", "attention"])
+def test_ids_outside_the_vocabularies_are_rejected(arch, field, value, message):
+    # Scoring and the training gradient share one check; without it, a
+    # negative id reads the last embedding row and a large target reads
+    # memory outside the scores.
+    cfg = small_cfg(arch=arch)
+    p = make_joint(cfg)
+    samples = random_samples(cfg, 4, 8)
+    samples[2] = replace(samples[2], **{field: value})
+    with pytest.raises(ConfigError) as e:
+        log_probs_batch(samples, cfg, p)
+    assert str(e.value) == message
+    with pytest.raises(ConfigError) as e:
+        backward(SampleBatch.from_samples(samples, cfg), cfg, p)
+    assert str(e.value) == message
+
+
+def test_id_check_names_the_first_bad_sample_and_its_first_column():
+    cfg = small_cfg()
+    p = make_joint(cfg)
+    samples = random_samples(cfg, 4, 9)
+    samples[3] = replace(samples[3], source_ids=(99,) * 10)
+    samples[1] = replace(samples[1], target=-5, history=(1, 2, 40))
+    with pytest.raises(ConfigError, match=r"^sample 1 has history id 40 "):
+        log_probs_batch(samples, cfg, p)
+    samples[1] = replace(samples[1], source_ids=(PAD_ID,) * 9 + (-2,))
+    with pytest.raises(ConfigError, match=r"^sample 1 has source id -2 "):
+        log_probs_batch(samples, cfg, p)
 
 
 def test_astype_round_trip():
