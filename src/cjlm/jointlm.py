@@ -13,7 +13,7 @@ predictor input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
@@ -130,6 +130,11 @@ class JointModelParams:
     hidden_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     softmax_w: np.ndarray
     softmax_b: np.ndarray
+    # Set by ``astype``: the (V, H + 2) output layer ``[w | b | 1]`` whose
+    # views are ``softmax_w`` and ``softmax_b``. It lays out two tensors and
+    # is not one itself.
+    output_layer: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def initialize(
@@ -186,6 +191,8 @@ class JointModelParams:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name == "output_layer":
+                continue
             if f.name.endswith("_layers"):
                 stack = f.name[: -len("_layers")]
                 for i, (w, b) in enumerate(value):
@@ -195,18 +202,34 @@ class JointModelParams:
         return out
 
     def astype(self, dtype) -> "JointModelParams":
-        return self.from_tensors(
-            {name: t.astype(dtype) for name, t in self.tensors().items()})
+        """A copy in ``dtype`` whose ``softmax_w`` and ``softmax_b`` are
+        written straight into its ``output_layer`` ``[w | b | 1]``."""
+        tensors = self.tensors()
+        vocab, hidden = self.softmax_w.shape
+        layer = np.empty((vocab, hidden + 2), dtype=dtype)
+        layer[:, :hidden] = tensors.pop("softmax_w")
+        layer[:, hidden] = tensors.pop("softmax_b")
+        layer[:, hidden + 1] = 1.0
+        out = self.from_tensors({name: t.astype(dtype) for name, t in tensors.items()}
+                                | {"softmax_w": layer[:, :hidden],
+                                   "softmax_b": layer[:, hidden]})
+        out.output_layer = layer
+        return out
 
 
 def compute_params(p: JointModelParams) -> JointModelParams:
-    """``p`` in its compute dtype, the promotion of its dtype with float64.
+    """``p`` in its compute dtype, the promotion of its dtype with float64,
+    with its output layer laid out by ``astype``.
 
-    Float32 storage gets one float64 copy; float64 or longdouble parameters
-    are returned as they are, the same object.
+    Parameters already in that dtype whose ``softmax_w`` and ``softmax_b``
+    view their ``output_layer`` are returned as they are, the same object.
+    Anything else, float32 storage for one, gets one cast.
     """
     dtype = np.promote_types(p.softmax_w.dtype, np.float64)
-    return p if p.softmax_w.dtype == dtype else p.astype(dtype)
+    layer = p.output_layer
+    laid_out = (layer is not None and p.softmax_w.base is layer
+                and p.softmax_b.base is layer)
+    return p if laid_out and layer.dtype == dtype else p.astype(dtype)
 
 
 @dataclass
@@ -334,7 +357,10 @@ def predict_forward_batch(
     """
     x0, acts = _hidden_stack(phi, hist, p)
     logits = np.matmul(acts[-1], p.softmax_w.T)
-    logits += p.softmax_b
+    # Added from a contiguous copy: broadcast down the rows, the strided view
+    # in the output layer reads a cache line per word, about 3x slower at
+    # paper size.
+    logits += np.ascontiguousarray(p.softmax_b)
     return enc.softmax(logits, axis=1), PredictorCache(phi=phi, x0=x0, hidden_acts=acts)
 
 
@@ -398,20 +424,20 @@ def log_probs_batch(
     distinct (encoder input, history) rows, in their sorted order, split into
     even blocks of at most ``SCORE_ROWS``. Each block runs the encoder once
     on its distinct encoder inputs, keeping only their representations, then
-    the hidden stack, then sweeps ``softmax_w`` in ``SOFTMAX_TILE``-word
-    tiles: one GEMM into one block-by-tile scratch, its samples' target
-    logits read from the tile that holds them, and the tile folded into each
-    row's sum of exponentials. An encoder input whose rows straddle two
-    blocks runs in both. So no encoder cache outlives its block, and neither
-    the samples-by-vocabulary matrix nor a block-by-vocabulary one is built.
+    the hidden stack, then sweeps the ``[w | b | 1]`` output layer in
+    ``SOFTMAX_TILE``-word tiles: one GEMM into one block-by-tile scratch, its
+    samples' target logits read from the tile that holds them, and the tile
+    folded into each row's sum of exponentials. An encoder input whose rows
+    straddle two blocks runs in both. So no encoder cache outlives its block,
+    no weight row is copied, and neither the samples-by-vocabulary matrix
+    nor a block-by-vocabulary one is built.
 
-    The fold takes two passes over a tile. The bias and each row's shift
-    enter the GEMM as two more columns, ``[h, 1, -shift] @ [w, b, 1].T``.
-    The shift is the row's max over the first tile; a later tile is only
-    checked against the limit below, exponentiated and summed. A row whose
-    tile rises more than that limit above its shift, where the row's sum
-    could overflow, raises its shift to the tile's max and rescales its sum,
-    that row alone.
+    The bias and each row's shift enter the GEMM as the layer's last two
+    columns, ``[h, 1, -shift] @ [w, b, 1].T``. The first tile sets the shift
+    to each row's max over it. A later tile is exponentiated and summed, two
+    passes, and a row whose tile sum passes the ceiling below (or overflows)
+    could overflow its running sum: that row alone recomputes its tile,
+    raises its shift to the tile's max and rescales its sum.
 
     An id outside its vocabulary raises ``ConfigError`` (``check_ids``).
     """
@@ -425,13 +451,11 @@ def log_probs_batch(
     enc_first, enc_slot, _, _ = enc.group_rows(_encoder_key(batch, cfg))
     first, slot, order, starts = enc.group_rows(
         np.concatenate([enc_slot[:, None], batch.hist], axis=1))
+    layer = pc.output_layer
     vocab, hidden = pc.softmax_w.shape
-    # Below this, a row's vocab terms sum to under the dtype's largest value,
-    # with one nat to spare for the rounding of the sum.
-    limit = np.log(np.finfo(dtype).max) - np.log(vocab) - 1.0
-    # The [w, b, 1] rows of one tile.
-    tile_w = np.empty((min(SOFTMAX_TILE, vocab), hidden + 2), dtype=dtype)
-    tile_w[:, hidden + 1] = 1.0
+    # At most vocab tiles that each sum to at most this add up to under the
+    # dtype's largest value, with one nat to spare for rounding.
+    ceiling = np.exp(np.log(np.finfo(dtype).max) - np.log(vocab) - 1.0)
     for lo, hi in _row_blocks(len(first)):
         rows = first[lo:hi]
         # Sorted by encoder slot first, so the block's inputs are one run.
@@ -451,29 +475,36 @@ def log_probs_batch(
         tile_of, column = np.divmod(batch.targets[members], SOFTMAX_TILE)
         # The shift each target logit was read against.
         read_shift = np.empty(len(members), dtype=dtype)
-        scratch = np.empty((hi - lo) * len(tile_w), dtype=dtype)
+        scratch = np.empty((hi - lo) * min(SOFTMAX_TILE, vocab), dtype=dtype)
         for t, v in enumerate(range(0, vocab, SOFTMAX_TILE)):
-            w = tile_w[: min(SOFTMAX_TILE, vocab - v)]
-            w[:, :hidden] = pc.softmax_w[v : v + len(w)]
-            w[:, hidden] = pc.softmax_b[v : v + len(w)]
+            w = layer[v : v + SOFTMAX_TILE]
             # Contiguous even for the ragged last tile, so numpy need not buffer.
             logits = scratch[: (hi - lo) * len(w)].reshape(hi - lo, len(w))
             np.matmul(x, w.T, out=logits)
             here = tile_of == t
             out[members[here]] = logits[at[here], column[here]]
             read_shift[here] = shift[at[here]]
-            # The first tile sets every row's shift; a later one moves only
-            # the rows that it lifts past the limit.
-            top = logits.max(axis=1)
-            hot = slice(None) if t == 0 else np.flatnonzero(top > limit)
-            step = top[hot]
-            logits[hot] -= step[:, None]
-            if t:
-                s[hot] *= np.exp(-step)
-            shift[hot] += step
-            x[hot, hidden + 1] = -shift[hot]
-            np.exp(logits, out=logits)
-            s += logits.sum(axis=1)
+            if t == 0:
+                top = logits.max(axis=1)
+                logits -= top[:, None]
+                shift += top
+                x[:, hidden + 1] = -shift
+            with np.errstate(over="ignore"):
+                np.exp(logits, out=logits)
+                tile_sum = logits.sum(axis=1)
+            # Past the ceiling, inf or nan. A finite first tile never is: its
+            # terms are at most 1.
+            hot = np.flatnonzero(~(tile_sum <= ceiling))
+            if hot.size:
+                redo = x[hot] @ w.T
+                top = redo.max(axis=1)
+                redo -= top[:, None]
+                s[hot] *= np.exp(-top)
+                shift[hot] += top
+                x[hot, hidden + 1] = -shift[hot]
+                np.exp(redo, out=redo)
+                tile_sum[hot] = redo.sum(axis=1)
+            s += tile_sum
         # Read against shift r, a target scores (logit - r) - ((shift - r) + log s).
         out[members] -= (shift[at] - read_shift) + np.log(s)[at]
     return out

@@ -162,7 +162,10 @@ def sgd_step(
 
     The subtraction runs in float64 and rounds back to the storage dtype, so
     a zero learning rate is an exact no-op. An update that overflows the
-    storage leaves an infinity without a warning; ``train`` reports it.
+    storage leaves an infinity without a warning; ``train`` reports it. It
+    runs in row blocks of about ``encoder.CHUNK_BYTES`` of float64 values, so
+    a gradient in either memory order is read in cache and the ``lr.g``
+    temporary is one block, not a copy of the tensor.
     """
     scale = 1.0
     if grad_clip is not None:
@@ -176,9 +179,10 @@ def sgd_step(
             raise ConfigError(
                 f"gradient {name} has shape {g.shape}, parameter has {p.shape}"
             )
-        with np.errstate(over="ignore"):
-            np.subtract(p, step * np.asarray(g, dtype=np.float64), out=p,
-                        dtype=np.float64, casting="same_kind")
+        for lo, hi in enc._chunks(len(p), 8 * p[0].size):
+            with np.errstate(over="ignore"):
+                np.subtract(p[lo:hi], step * np.asarray(g[lo:hi], dtype=np.float64),
+                            out=p[lo:hi], dtype=np.float64, casting="same_kind")
     return params
 
 
@@ -344,20 +348,22 @@ def gradient_check(
     eps = np.longdouble(epsilon)
     report: dict[str, float] = {}
     for name, tensor in params.tensors().items():
-        flat = tensor.reshape(-1)
         analytic = np.asarray(grads.tensors[name], dtype=np.longdouble).reshape(-1)
-        if flat.size <= max_coords_per_group:
-            coords = np.arange(flat.size)
+        if tensor.size <= max_coords_per_group:
+            coords = np.arange(tensor.size)
         else:
-            coords = rng.choice(flat.size, size=max_coords_per_group, replace=False)
+            coords = rng.choice(tensor.size, size=max_coords_per_group, replace=False)
         worst = 0.0
         for i in coords:
-            original = flat[i]
-            flat[i] = original + eps
+            # Indexes the tensor itself: a flattened strided view (``softmax_w``
+            # in its output layer) would be a copy the model never reads.
+            at = np.unravel_index(i, tensor.shape)
+            original = tensor[at]
+            tensor[at] = original + eps
             up = -jm.log_probs_batch(samples, cfg, params).mean()
-            flat[i] = original - eps
+            tensor[at] = original - eps
             down = -jm.log_probs_batch(samples, cfg, params).mean()
-            flat[i] = original
+            tensor[at] = original
             fd = (up - down) / (2 * eps)
             a = analytic[i]
             rel = float(abs(a - fd) / max(abs(a), abs(fd), np.longdouble(1e-8)))

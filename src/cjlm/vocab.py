@@ -87,4 +87,5 @@ def build_vocabulary(sentences: Iterable[Sequence[str]], limit: int) -> Vocabula
 
 def map_tokens(tokens: Sequence[str], vocab: Vocabulary) -> list[int]:
     """Map surface tokens to ids, sending out-of-vocabulary tokens to UNK."""
-    return [vocab.id(t) for t in tokens]
+    get, unk = vocab.index.get, vocab.unk_id
+    return [get(t, unk) for t in tokens]

@@ -333,6 +333,21 @@ def test_log_probs_batch_holds_one_block_by_tile_scratch():
     assert peaks[1] <= peaks[0] + 1024
 
 
+def test_log_probs_batch_copies_no_weight_rows():
+    # Compute-dtype parameters are read where the cast laid them out: the
+    # peak holds the block-by-tile scratch and the activations, and not one
+    # tile of [w, b, 1] rows, which at this hidden width is 512 KiB.
+    cfg = small_cfg()
+    rows, vocab, hidden = 64, 20000, (30,)
+    acts = rows * (cfg.repr_dim + cfg.history * cfg.tgt_emb_dim + sum(hidden)) * 8
+    bound = rows * jointlm.SOFTMAX_TILE * 8 + acts + 128 * 1024
+    assert jointlm.SOFTMAX_TILE * (hidden[-1] + 2) * 8 > 128 * 1024
+    p = make_joint(cfg, tgt_v=vocab, hidden=hidden).astype(np.float64)
+    samples = random_samples(cfg, rows, 2, tgt_v=vocab)
+    assert compute_params(p) is p
+    assert traced_peak(log_probs_batch, samples, cfg, p) <= bound
+
+
 def traced_peak(fn, *args):
     fn(*args)  # warm up lazy allocations
     tracemalloc.start()
@@ -556,3 +571,49 @@ def test_compute_params_promotes_with_float64():
     assert compute_params(p64) is p64
     wide = p.astype(np.longdouble)
     assert compute_params(wide) is wide
+
+
+def test_compute_params_lays_out_the_output_layer():
+    # The cast writes softmax_w and softmax_b into one [w | b | 1] matrix
+    # and keeps no other copy of them; tensors() leaves that matrix out.
+    cfg = small_cfg()
+    p = make_joint(cfg, tgt_v=30)
+    pc = compute_params(p)
+    layer = pc.output_layer
+    vocab, hidden = p.softmax_w.shape
+    assert layer.shape == (vocab, hidden + 2) and layer.dtype == np.float64
+    assert pc.softmax_w.base is layer and pc.softmax_b.base is layer
+    assert np.shares_memory(pc.softmax_w, layer)
+    assert np.shares_memory(pc.softmax_b, layer)
+    assert np.array_equal(layer[:, :hidden], p.softmax_w)
+    assert np.array_equal(layer[:, hidden], p.softmax_b)
+    assert np.all(layer[:, hidden + 1] == 1.0)
+    assert "output_layer" not in pc.tensors()
+    assert list(pc.tensors()) == [s.name for s in param_spec(
+        cfg, p.src_embeddings.shape[0], vocab, p.hidden_dims)]
+    assert compute_params(pc) is pc
+    # Compute-dtype tensors laid out any other way get the cast.
+    plain = JointModelParams.from_tensors(
+        {name: t.astype(np.float64) for name, t in p.tensors().items()})
+    assert plain.output_layer is None
+    laid = compute_params(plain)
+    assert laid is not plain and laid.softmax_w.base is laid.output_layer
+    assert compute_params(replace(pc, softmax_w=pc.softmax_w.copy())) is not pc
+
+
+def test_writes_through_the_cast_views_reach_the_scores():
+    # In-place edits of the cast's softmax_w and softmax_b are edits of the
+    # matrix that scoring reads, so no copy of them can go stale.
+    cfg = small_cfg()
+    pc = compute_params(make_joint(cfg, tgt_v=30, seed=7))
+    samples = random_samples(cfg, 8, 5, tgt_v=30)
+    before = log_probs_batch(samples, cfg, pc)
+    pc.softmax_w[samples[0].target] += 0.75
+    pc.softmax_w[3, 2] = -4.0
+    pc.softmax_b[samples[1].target] = 2.5
+    pc.softmax_b[10:20] -= 1.0
+    assert compute_params(pc) is pc
+    got = log_probs_batch(samples, cfg, pc)
+    expected = [reference_log_probs(s, cfg, pc)[s.target] for s in samples]
+    assert not np.allclose(got, before)
+    assert np.allclose(got, expected, atol=1e-12)

@@ -1,5 +1,6 @@
 """Binary model files: round trips, determinism, corruption rejection."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -82,6 +83,18 @@ def test_identical_artifacts_identical_bytes(tmp_path):
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
     save_model(make_artifact(seed=5), tmp_path / "c")
     assert (tmp_path / "a").read_bytes() != (tmp_path / "c").read_bytes()
+
+
+def test_view_backed_parameters_save_the_same_bytes(tmp_path):
+    # astype leaves softmax_w and softmax_b as strided views of one
+    # [w | b | 1] matrix; the file holds the same tensor bytes either way.
+    artifact = make_artifact(seed=4)
+    laid_out = artifact.params.astype(np.float32)
+    assert not laid_out.softmax_w.flags.c_contiguous
+    assert not laid_out.softmax_b.flags.c_contiguous
+    save_model(artifact, tmp_path / "a")
+    save_model(dataclasses.replace(artifact, params=laid_out), tmp_path / "b")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 def test_rejects_flipped_payload_byte(tmp_path):

@@ -135,6 +135,24 @@ def test_sgd_step_matches_the_float64_formula_bytewise(rate):
         assert t.tobytes() == expected[name].tobytes(), name
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sgd_step_blocks_match_the_whole_tensor_formula(monkeypatch, order):
+    # Blocks of three 6-wide float64 rows leave softmax_w's 14 rows a ragged
+    # last block of two; the update must not see the blocking.
+    monkeypatch.setattr(tr.enc, "CHUNK_BYTES", 3 * 6 * 8)
+    rng = np.random.default_rng(11)
+    params = make_joint(check_cfg())
+    assert params.softmax_w.shape == (14, 6)
+    grads = {name: np.asarray(rng.normal(0, 3, t.shape), order=order)
+             for name, t in params.tensors().items()}
+    assert order == "C" or not grads["softmax_w"].flags.c_contiguous
+    expected = {name: (t.astype(np.float64) - 0.3 * grads[name]).astype(np.float32)
+                for name, t in params.tensors().items()}
+    sgd_step(params, GradientStore(grads), learning_rate=0.3)
+    for name, t in params.tensors().items():
+        assert np.array_equal(t, expected[name]), name
+
+
 def test_sgd_step_clips_by_global_norm():
     cfg = check_cfg()
     params = make_joint(cfg)
@@ -177,6 +195,24 @@ def test_gradients_match_finite_differences(arch):
 def test_gradients_match_fd_pooling():
     report = gradient_check(check_cfg(fusion="pooling"), seed=2,
                             max_coords_per_group=12)
+    assert max(report.values()) < 1e-4, report
+
+
+def test_gradient_check_perturbs_non_contiguous_tensors(monkeypatch):
+    # softmax_w and softmax_b are strided views of the cast's output layer;
+    # conv1_w and hidden_0_w are made Fortran-ordered here. Flattening any
+    # of them copies, and a perturbed copy would leave the loss unmoved.
+    cast = JointModelParams.astype
+
+    def fortran(params, dtype):
+        out = cast(params, dtype)
+        out.conv1_w = np.asfortranarray(out.conv1_w)
+        (w, b), *rest = out.hidden_layers
+        out.hidden_layers = ((np.asfortranarray(w), b), *rest)
+        return out
+
+    monkeypatch.setattr(JointModelParams, "astype", fortran)
+    report = gradient_check(check_cfg(), seed=4, max_coords_per_group=12)
     assert max(report.values()) < 1e-4, report
 
 
