@@ -102,26 +102,32 @@ def replacing(path, mode: str = "wb", **open_kwargs):
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Write the artifact through ``replacing``: a save that fails part-way
-    leaves any previous file at ``path`` as it was."""
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<I", FORMAT_VERSION)
+    leaves any previous file at ``path`` as it was.
+
+    The file is streamed: each piece is written and fed to one running
+    SHA-256 in turn, so a save holds at most one tensor's float32 copy (none
+    for C-ordered float32 tensors), never the whole file.
+    """
     header = _header_json(artifact)
-    blob += struct.pack("<Q", len(header))
-    blob += header
     tensors = artifact.params.tensors()
-    blob += struct.pack("<I", len(tensors))
-    for name, tensor in tensors.items():
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded))
-        blob += encoded
-        blob += struct.pack("<B", tensor.ndim)
-        for dim in tensor.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(tensor, dtype=TENSOR_DTYPE).tobytes()
-    blob += hashlib.sha256(blob).digest()[:CHECKSUM_BYTES]
+    digest = hashlib.sha256()
     with replacing(path) as f:
-        f.write(blob)
+
+        def write(data) -> None:
+            digest.update(data)
+            f.write(data)
+
+        write(MAGIC)
+        write(struct.pack("<IQ", FORMAT_VERSION, len(header)))
+        write(header)
+        write(struct.pack("<I", len(tensors)))
+        for name, tensor in tensors.items():
+            encoded = name.encode("utf-8")
+            write(struct.pack("<H", len(encoded)) + encoded
+                  + struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape))
+            write(np.ascontiguousarray(tensor, dtype=TENSOR_DTYPE)
+                  .reshape(-1).view(np.uint8))
+        f.write(digest.digest()[:CHECKSUM_BYTES])
 
 
 class _Reader:

@@ -9,7 +9,9 @@ Parameters are stored in float32, but every forward/backward runs in the
 promotion of the parameter dtype with float64 (``jointlm.compute_params``):
 float64 for training, longdouble for the finite-difference oracle, which
 passes longdouble parameters. The update rounds back to storage precision,
-which keeps training runs bit-reproducible for a fixed seed.
+which keeps training runs bit-reproducible for a fixed seed. ``train`` casts
+once: its steps read a float64 mirror of the storage that ``sgd_step`` keeps
+equal to a fresh cast.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ def backward(
     batch: SampleBatch,
     cfg: EncoderConfig,
     params: JointModelParams,
+    softmax_w_grad: np.ndarray | None = None,
 ) -> tuple[GradientStore, float]:
     """Exact gradients of the batch's mean NLL for every learnable tensor.
 
@@ -127,9 +130,13 @@ def backward(
     the attention arch, the guide-signal path. PAD embedding rows stay at
     zero gradient: they are constants of the model. An id outside its
     vocabulary raises ``ConfigError`` (``jointlm.check_ids``).
+    ``softmax_w_grad`` is passed to ``jointlm.predict_backward_batch``: the
+    returned ``softmax_w`` gradient is then that buffer.
     """
     jm.check_ids(batch, params)
-    pc = jm.compute_params(params)  # one cast serves the forward and backward pass
+    # One cast serves the forward and backward pass; parameters already in
+    # the compute dtype and laid out, like ``train``'s mirror, need none.
+    pc = jm.compute_params(params)
     dlogits, enc_cache, pred_cache = jm.forward_batch(batch, cfg, pc)
     n = len(batch)
     rows = np.arange(n)
@@ -140,7 +147,8 @@ def backward(
     # built in their buffer, which is not alive during the encoder backward.
     dlogits[rows, batch.targets] -= 1.0
     dlogits /= n
-    pred_grads, dphi, dhist_pred = jm.predict_backward_batch(pred_cache, dlogits, pc)
+    pred_grads, dphi, dhist_pred = jm.predict_backward_batch(
+        pred_cache, dlogits, pc, softmax_w_grad=softmax_w_grad)
     del dlogits, pred_cache
     enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc)
     dhist = dhist_pred if dhist_attn is None else dhist_pred + dhist_attn
@@ -157,6 +165,7 @@ def sgd_step(
     grads: GradientStore,
     learning_rate: float,
     grad_clip: float | None = None,
+    mirror: JointModelParams | None = None,
 ) -> JointModelParams:
     """In-place update p <- p - lr.g, with optional global-norm clipping.
 
@@ -165,7 +174,10 @@ def sgd_step(
     storage leaves an infinity without a warning; ``train`` reports it. It
     runs in row blocks of about ``encoder.CHUNK_BYTES`` of float64 values, so
     a gradient in either memory order is read in cache and the ``lr.g``
-    temporary is one block, not a copy of the tensor.
+    temporary is one block, not a copy of the tensor. Each rounded block is
+    then copied into ``mirror``, when given, parameters shaped like
+    ``params`` in a wider dtype: a mirror equal to ``params`` stays equal,
+    bit for bit, to a fresh cast of them.
     """
     scale = 1.0
     if grad_clip is not None:
@@ -173,16 +185,20 @@ def sgd_step(
         if norm > grad_clip:
             scale = grad_clip / norm
     step = learning_rate * scale
+    mirrored = {} if mirror is None else mirror.tensors()
     for name, p in params.tensors().items():
         g = grads.tensors[name]
         if g.shape != p.shape:
             raise ConfigError(
                 f"gradient {name} has shape {g.shape}, parameter has {p.shape}"
             )
+        m = mirrored.get(name)
         for lo, hi in enc._chunks(len(p), 8 * p[0].size):
             with np.errstate(over="ignore"):
                 np.subtract(p[lo:hi], step * np.asarray(g[lo:hi], dtype=np.float64),
                             out=p[lo:hi], dtype=np.float64, casting="same_kind")
+            if m is not None:
+                m[lo:hi] = p[lo:hi]
     return params
 
 
@@ -204,6 +220,18 @@ def train(
     Raises TrainingDivergedError carrying the last end-of-epoch checkpoint and
     the metrics so far when the loss, any gradient or, at an epoch's end, any
     parameter is non-finite.
+
+    Every step and the held-out perplexity read one mirror of ``params`` in
+    the compute dtype, cast once with its output layer laid out and kept
+    equal to a fresh cast by ``sgd_step``. Later steps write their
+    ``softmax_w`` gradient into the first step's, and a step's gradients
+    are freed before the next step starts. All three are for the allocator,
+    which keeps the heap a step frees: at paper size a fresh cast each step,
+    and gradients alive into the next step, grew it step by step to a peak
+    RSS of about 600 MB, against about 475 MB with them. The kept gradient
+    was allocated above the first step's forward cache, which each later
+    forward reuses; a buffer allocated before the first step doubled the
+    page faults per step and slowed steps by about a tenth.
     """
     samples = list(samples)
     if not samples:
@@ -212,6 +240,8 @@ def train(
     lr = train_cfg.learning_rate
     best = math.inf
     checkpoint = params.astype(PARAM_DTYPE)
+    mirror = jm.compute_params(params)
+    softmax_w_grad = None
 
     def diverged(message: str) -> TrainingDivergedError:
         return TrainingDivergedError(f"{message} (epoch {epoch})",
@@ -225,14 +255,16 @@ def train(
             idx = order[start : start + train_cfg.minibatch]
             batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
             try:
-                grads, nll = backward(batch, cfg, params)
+                grads, nll = backward(batch, cfg, mirror, softmax_w_grad)
             except TrainingDivergedError as e:
                 raise diverged(e.args[0]) from e
             if not math.isfinite(nll):
                 raise diverged("non-finite loss")
             assert not grads.tensors["src_embeddings"][PAD_ID].any()
             assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
-            sgd_step(params, grads, lr, train_cfg.grad_clip)
+            sgd_step(params, grads, lr, train_cfg.grad_clip, mirror)
+            softmax_w_grad = grads.tensors["softmax_w"]
+            del grads  # before the next batch allocates anything
             total += nll * len(idx)
         # The last step, and embedding rows no later batch reads, can
         # overflow the float32 storage after every check above.
@@ -240,7 +272,7 @@ def train(
             if not np.isfinite(t).all():
                 raise diverged(f"non-finite parameter in tensor {name!r}")
         train_nll = total / len(samples)
-        ppl = jm.perplexity(held_out, cfg, params) if held_out else None
+        ppl = jm.perplexity(held_out, cfg, mirror) if held_out else None
         signal = ppl if ppl is not None else train_nll
         if train_cfg.lr_halving and signal >= best:
             lr /= 2.0

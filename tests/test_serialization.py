@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,10 +180,41 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.cjlm"]
 
+    # The save streams: this one fails after the header and some tensors
+    # are written.
+    broken = make_artifact(seed=2)
+    broken.params.proj_b = np.array(["not a number"])
+    with pytest.raises(ValueError):
+        save_model(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.cjlm"]
+
     monkeypatch.undo()
     save_model(make_artifact(seed=2), path)
     assert path.read_bytes() != before
     assert [p.name for p in tmp_path.iterdir()] == ["model.cjlm"]
+
+
+def test_save_holds_at_most_one_tensor(tmp_path):
+    # Paper size: a 31.5 MiB file. The laid-out cast makes softmax_w a
+    # strided view, so the save copies it, 15.3 MiB, the largest copy it may
+    # hold; building the file in memory first peaked at 47.0 MiB.
+    cfg = EncoderConfig(arch="tag", maxlen=40)
+    vocab = build_vocabulary([[f"w{i}" for i in range(20000)]], limit=20000)
+    params = JointModelParams.initialize(
+        cfg, len(vocab), len(vocab), (200,), np.random.default_rng(0)
+    ).astype(np.float32)
+    artifact = ModelArtifact(cfg, vocab, vocab, params)
+    tracemalloc.start()
+    try:
+        save_model(artifact, tmp_path / "m")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m").stat().st_size > 31_000_000
+    assert peak <= 16 * 2**20, peak
+    assert load_model(tmp_path / "m").params.softmax_w.tobytes() == \
+        params.softmax_w.tobytes()
 
 
 def test_no_train_config_round_trips_as_none(tmp_path):

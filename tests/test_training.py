@@ -148,9 +148,24 @@ def test_sgd_step_blocks_match_the_whole_tensor_formula(monkeypatch, order):
     assert order == "C" or not grads["softmax_w"].flags.c_contiguous
     expected = {name: (t.astype(np.float64) - 0.3 * grads[name]).astype(np.float32)
                 for name, t in params.tensors().items()}
+    mirrored = params.astype(np.float32)
+    mirror = mirrored.astype(np.float64)
     sgd_step(params, GradientStore(grads), learning_rate=0.3)
+    sgd_step(mirrored, GradientStore(grads), learning_rate=0.3, mirror=mirror)
     for name, t in params.tensors().items():
         assert np.array_equal(t, expected[name]), name
+    assert_mirrors(mirror, mirrored)
+    assert_mirrors(mirror, params)
+
+
+def assert_mirrors(mirror, params, cast=JointModelParams.astype):
+    """``mirror`` equals a fresh float64 cast of ``params`` bit for bit, its
+    output layer's ones column included. ``cast`` is bound at import, so a
+    test that counts calls of ``astype`` can still call this."""
+    fresh = cast(params, np.float64)
+    assert mirror.output_layer.tobytes() == fresh.output_layer.tobytes()
+    for name, t in fresh.tensors().items():
+        assert mirror.tensors()[name].tobytes() == t.tobytes(), name
 
 
 def test_sgd_step_clips_by_global_norm():
@@ -350,12 +365,19 @@ def test_without_halving_rate_is_constant():
     assert all(m.learning_rate == 0.2 for m in metrics)
 
 
-def test_last_step_overflow_raises_with_the_previous_checkpoint():
+def test_last_step_overflow_raises_with_the_previous_checkpoint(monkeypatch):
     # The loss and gradients of the one batch are finite; the step it takes
-    # overflows the float32 parameters.
+    # overflows the float32 parameters, and the mirror with them.
     cfg = check_cfg()
     params = make_joint(cfg)
     initial = params.astype(np.float32)
+    mirrors = []
+
+    def recording(params, grads, learning_rate, grad_clip=None, mirror=None):
+        mirrors.append(mirror)
+        return sgd_step(params, grads, learning_rate, grad_clip, mirror)
+
+    monkeypatch.setattr(tr, "sgd_step", recording)
     with pytest.raises(TrainingDivergedError,
                        match=r"non-finite parameter .*epoch 1") as exc:
         train(tiny_samples(cfg, 6, 14), cfg,
@@ -363,6 +385,41 @@ def test_last_step_overflow_raises_with_the_previous_checkpoint():
     checkpoint = exc.value.checkpoint.tensors()
     for name, t in initial.tensors().items():
         assert np.array_equal(checkpoint[name], t), name
+    [mirror] = mirrors
+    assert any(np.isinf(t).any() for t in params.tensors().values())
+    assert_mirrors(mirror, params)
+
+
+@pytest.mark.parametrize("minibatch", [3, 20])
+def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
+    # The first checkpoint, the mirror and one checkpoint per epoch, however
+    # many steps: the steps and the held-out perplexity read the mirror.
+    cfg = check_cfg()
+    cast = JointModelParams.astype
+    casts = []
+
+    def counting(params, dtype):
+        casts.append(dtype)
+        return cast(params, dtype)
+
+    steps = []
+
+    def checked(params, grads, learning_rate, grad_clip=None, mirror=None):
+        out = sgd_step(params, grads, learning_rate, grad_clip, mirror)
+        assert_mirrors(mirror, params)
+        steps.append(mirror)
+        return out
+
+    monkeypatch.setattr(JointModelParams, "astype", counting)
+    monkeypatch.setattr(tr, "sgd_step", checked)
+    tc = TrainConfig(learning_rate=0.5, minibatch=minibatch, epochs=2, seed=4,
+                     init_scale=0.5)
+    _, metrics = train(tiny_samples(cfg, 20, 15), cfg, tc, make_joint(cfg),
+                       held_out=tiny_samples(cfg, 6, 16))
+    assert len(casts) == 2 + tc.epochs
+    assert len(steps) == tc.epochs * -(-20 // minibatch)
+    assert all(m is steps[0] for m in steps)
+    assert all(m.held_out_ppl is not None for m in metrics)
 
 
 def test_underflowed_target_probability_is_divergence():
