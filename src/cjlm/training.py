@@ -224,14 +224,15 @@ def train(
     Every step and the held-out perplexity read one mirror of ``params`` in
     the compute dtype, cast once with its output layer laid out and kept
     equal to a fresh cast by ``sgd_step``. Later steps write their
-    ``softmax_w`` gradient into the first step's, and a step's gradients
-    are freed before the next step starts. All three are for the allocator,
-    which keeps the heap a step frees: at paper size a fresh cast each step,
-    and gradients alive into the next step, grew it step by step to a peak
-    RSS of about 600 MB, against about 475 MB with them. The kept gradient
-    was allocated above the first step's forward cache, which each later
-    forward reuses; a buffer allocated before the first step doubled the
-    page faults per step and slowed steps by about a tenth.
+    ``softmax_w`` gradient into the first step's array, and a step's
+    gradients are freed before the next step starts. All three are for
+    glibc's allocator. It keeps the heap a step frees, so a fresh cast each
+    step, with the previous step's gradients still alive, grew the heap
+    step by step. Freeing the gradients lets it hand back the heap top
+    that the encoder backward needs, and the next step faults that in
+    again; a fresh ``softmax_w`` gradient each step was faulted in with it,
+    about twice the faults and a slower step. ``CHANGES.md`` has the
+    measurements.
     """
     samples = list(samples)
     if not samples:

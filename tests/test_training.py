@@ -265,6 +265,21 @@ def test_backward_loss_agrees_with_forward():
     assert nll == pytest.approx(minibatch_loss(samples, cfg, params), abs=1e-12)
 
 
+def test_backward_into_a_kept_softmax_w_gradient():
+    # The buffer receives the same bits as a fresh gradient, and every other
+    # gradient is unchanged by it.
+    cfg = check_cfg()
+    params = make_joint(cfg).astype(np.float64)
+    batch = SampleBatch.from_samples(tiny_samples(cfg, 7, 8), cfg)
+    fresh, nll = backward(batch, cfg, params)
+    buf = np.full_like(fresh.tensors["softmax_w"], np.nan, order="F")
+    kept, kept_nll = backward(batch, cfg, params, buf)
+    assert np.shares_memory(kept.tensors["softmax_w"], buf)
+    assert kept_nll == nll
+    for name, g in fresh.tensors.items():
+        assert kept.tensors[name].tobytes() == g.tobytes(), name
+
+
 def test_backward_keeps_pad_rows_at_zero():
     cfg = check_cfg(arch="attention")
     params = make_joint(cfg)
@@ -407,7 +422,7 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     def checked(params, grads, learning_rate, grad_clip=None, mirror=None):
         out = sgd_step(params, grads, learning_rate, grad_clip, mirror)
         assert_mirrors(mirror, params)
-        steps.append(mirror)
+        steps.append((mirror, grads.tensors["softmax_w"]))
         return out
 
     monkeypatch.setattr(JointModelParams, "astype", counting)
@@ -418,7 +433,9 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
                        held_out=tiny_samples(cfg, 6, 16))
     assert len(casts) == 2 + tc.epochs
     assert len(steps) == tc.epochs * -(-20 // minibatch)
-    assert all(m is steps[0] for m in steps)
+    assert all(m is steps[0][0] for m, _ in steps)
+    # Every later step writes its softmax_w gradient into the first step's.
+    assert all(np.shares_memory(g, steps[0][1]) for _, g in steps)
     assert all(m.held_out_ppl is not None for m in metrics)
 
 
