@@ -361,11 +361,18 @@ def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, windows: np.nda
     return dw
 
 
+def embed(table: np.ndarray, ids: np.ndarray, dtype) -> np.ndarray:
+    """The rows ``table[ids]`` in ``dtype``, the compute dtype. The compute
+    parameters keep the embedding tables in their storage dtype
+    (``jointlm.compute_params``), so only the gathered rows are widened."""
+    return table[ids].astype(dtype, copy=False)
+
+
 def embedding_grad(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Gradient of an embedding ``table`` whose rows ``table[ids]`` received
-    the gradients ``rows`` (shaped ``ids.shape + (dim,)``). The PAD row is a
-    constant of the model and gets none."""
-    grad = np.zeros_like(table)
+    the gradients ``rows`` (shaped ``ids.shape + (dim,)``), in the dtype of
+    ``rows``. The PAD row is a constant of the model and gets none."""
+    grad = np.zeros(table.shape, rows.dtype)
     content = ids != PAD_ID
     np.add.at(grad, ids[content], rows[content])
     return grad
@@ -381,8 +388,9 @@ def forward_batch(
 ) -> tuple[np.ndarray, BatchCache]:
     """Vectorized encoder forward over a batch of prepared samples.
 
-    ``p`` is the ``jointlm.JointModelParams``; the computation runs in its
-    dtype. Masks are boolean (batch, maxlen); ``hist`` is int (batch,
+    ``p`` is the ``jointlm.JointModelParams``; the computation runs in the
+    dtype of its weights, to which the embedding rows it gathers are widened
+    (``embed``). Masks are boolean (batch, maxlen); ``hist`` is int (batch,
     history), read only by the attention arch, which embeds it with
     ``p.tgt_embeddings``.
 
@@ -396,24 +404,24 @@ def forward_batch(
     batch = ids.shape[0]
     first, src_of, src_order, src_starts = group_rows(ids)
     src = ids[first]
-    src_rows = p.src_embeddings[src]
+    dtype = p.conv1_w.dtype
+    src_rows = embed(p.src_embeddings, src, dtype)
     src_rows[src == PAD_ID] = 0.0
     cache = BatchCache(src=src, src_of=src_of, src_order=src_order,
                        src_starts=src_starts, src_rows=src_rows)
     if cfg.tag_bits:
         # A PAD row is all zero, guide columns included.
         guides = np.stack((aff_mask, head_mask)[: cfg.tag_bits], axis=2)
-        cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(src_rows.dtype)
+        cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(dtype)
 
     word1, tag1, cache.windows1 = _guided_linear(
         cache, p.conv1_w[:, cfg.prefix_dim :], cfg, cfg.conv_locs1, bias=p.conv1_b)
     signal1 = None
     if cfg.arch == "attention":
-        cache.hist_flat = p.tgt_embeddings[hist].reshape(batch, -1)
+        cache.hist_flat = embed(p.tgt_embeddings, hist, dtype).reshape(batch, -1)
         cache.signal_acts = sigmoid_stack(cache.hist_flat, p.attn_layers)
         signal1 = cache.signal_acts[-1] @ p.conv1_w[:, : cfg.prefix_dim].T
 
-    dtype = word1.dtype
     gating = cfg.fusion == "gating"
     if gating:
         u_word, u_tag, cache.gate_in = _guided_linear(

@@ -44,6 +44,9 @@ SOFTMAX_TILE = 2048
 # Init kinds: uniform in [-init_scale, init_scale], zeros, or uniform with the
 # PAD row zeroed (embedding tables).
 UNIFORM, ZEROS, EMBEDDING = "uniform", "zeros", "embedding"
+# The tensors read only by gathering rows, which compute_params leaves in
+# their storage dtype.
+EMBEDDING_TABLES = ("src_embeddings", "tgt_embeddings")
 
 
 class TensorSpec(NamedTuple):
@@ -201,16 +204,24 @@ class JointModelParams:
                 out[f.name] = value
         return out
 
-    def astype(self, dtype) -> "JointModelParams":
+    def astype(self, dtype, *, share_tables: bool = False) -> "JointModelParams":
         """A copy in ``dtype`` whose ``softmax_w`` and ``softmax_b`` are
-        written straight into its ``output_layer`` ``[w | b | 1]``."""
+        written straight into its ``output_layer`` ``[w | b | 1]``.
+
+        With ``share_tables`` the copy holds this object's own embedding
+        tables, in their own dtype, and copies every other tensor: the
+        compute parameters of ``compute_params``, whose readers widen the
+        rows they gather (``encoder.embed``).
+        """
         tensors = self.tensors()
         vocab, hidden = self.softmax_w.shape
         layer = np.empty((vocab, hidden + 2), dtype=dtype)
         layer[:, :hidden] = tensors.pop("softmax_w")
         layer[:, hidden] = tensors.pop("softmax_b")
         layer[:, hidden + 1] = 1.0
-        out = self.from_tensors({name: t.astype(dtype) for name, t in tensors.items()}
+        shared = EMBEDDING_TABLES if share_tables else ()
+        out = self.from_tensors({name: t if name in shared else t.astype(dtype)
+                                 for name, t in tensors.items()}
                                 | {"softmax_w": layer[:, :hidden],
                                    "softmax_b": layer[:, hidden]})
         out.output_layer = layer
@@ -223,13 +234,18 @@ def compute_params(p: JointModelParams) -> JointModelParams:
 
     Parameters already in that dtype whose ``softmax_w`` and ``softmax_b``
     view their ``output_layer`` are returned as they are, the same object.
-    Anything else, float32 storage for one, gets one cast.
+    Anything else, float32 storage for one, gets one cast that shares the
+    embedding tables: they stay ``p``'s own arrays in their storage dtype,
+    each batch widens the few rows it gathers, and widening float32 is
+    exact, so every product is the one a full cast would give.
     """
     dtype = np.promote_types(p.softmax_w.dtype, np.float64)
     layer = p.output_layer
     laid_out = (layer is not None and p.softmax_w.base is layer
                 and p.softmax_b.base is layer)
-    return p if laid_out and layer.dtype == dtype else p.astype(dtype)
+    if laid_out and layer.dtype == dtype:
+        return p
+    return p.astype(dtype, share_tables=True)
 
 
 @dataclass
@@ -331,7 +347,7 @@ class PredictorCache:
 
 def _hidden_stack(phi, hist, p):
     """Predictor input rows and the activations of every hidden layer."""
-    hist_flat = p.tgt_embeddings[hist].reshape(phi.shape[0], -1)
+    hist_flat = enc.embed(p.tgt_embeddings, hist, phi.dtype).reshape(phi.shape[0], -1)
     x0 = np.concatenate([phi, hist_flat], axis=1)
     return x0, sigmoid_stack(x0, p.hidden_layers)
 

@@ -11,7 +11,8 @@ float64 for training, longdouble for the finite-difference oracle, which
 passes longdouble parameters. The update rounds back to storage precision,
 which keeps training runs bit-reproducible for a fixed seed. ``train`` casts
 once: its steps read a float64 mirror of the storage that ``sgd_step`` keeps
-equal to a fresh cast.
+equal to a fresh cast. The mirror's embedding tables are the float32 storage
+itself; each batch widens the rows it gathers.
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def sgd_step(
     temporary is one block, not a copy of the tensor. Each rounded block is
     then copied into ``mirror``, when given, parameters shaped like
     ``params`` in a wider dtype: a mirror equal to ``params`` stays equal,
-    bit for bit, to a fresh cast of them.
+    bit for bit, to a fresh cast of them. A mirror tensor that is the
+    parameter itself, an embedding table shared by ``compute_params``, was
+    updated in place and gets no write-back.
     """
     scale = 1.0
     if grad_clip is not None:
@@ -193,6 +196,8 @@ def sgd_step(
                 f"gradient {name} has shape {g.shape}, parameter has {p.shape}"
             )
         m = mirrored.get(name)
+        if m is p:
+            m = None
         for lo, hi in enc._chunks(len(p), 8 * p[0].size):
             with np.errstate(over="ignore"):
                 np.subtract(p[lo:hi], step * np.asarray(g[lo:hi], dtype=np.float64),
@@ -233,6 +238,10 @@ def train(
     again; a fresh ``softmax_w`` gradient each step was faulted in with it,
     about twice the faults and a slower step. ``CHANGES.md`` has the
     measurements.
+
+    The mirror shares the embedding tables with ``params``
+    (``compute_params``): the update writes them once, in place, and
+    ``sgd_step`` copies back only the other tensors.
     """
     samples = list(samples)
     if not samples:

@@ -228,6 +228,23 @@ def test_group_sum_adds_each_group_in_row_order():
     assert (out[key[first, 0] == 0] == 1e16).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_embedding_grad_takes_the_dtype_of_its_rows(dtype):
+    # A float32 table, as the compute parameters hold it, with rows in the
+    # compute dtype: the gradient is in the rows' dtype, each id's rows added
+    # in row order, and PAD's rows dropped.
+    rng = np.random.default_rng(23)
+    table = rng.normal(size=(9, 4)).astype(np.float32)
+    ids = np.array([[5, PAD_ID, 5], [7, 5, PAD_ID]])
+    rows = rng.normal(size=(*ids.shape, 4)).astype(dtype)
+    grad = encoder.embedding_grad(table, ids, rows)
+    assert grad.dtype == dtype and grad.shape == table.shape
+    assert not grad[PAD_ID].any()
+    assert np.array_equal(grad[5], rows[0, 0] + rows[0, 2] + rows[1, 1])
+    assert np.array_equal(grad[7], rows[1, 0])
+    assert not np.delete(grad, [5, 7], axis=0).any()
+
+
 def test_matmul_blocks_match_stacked_product(monkeypatch):
     # 15 rows in blocks of 7: two full blocks and a ragged tail. Longdouble,
     # the finite-difference oracle's dtype, stays longdouble.

@@ -11,6 +11,7 @@ from cjlm.encoder import ARCHS, FUSIONS, EncoderConfig
 from cjlm import encoder, jointlm
 from cjlm.errors import ConfigError
 from cjlm.jointlm import (
+    EMBEDDING_TABLES,
     JointModelParams,
     SampleBatch,
     compute_params,
@@ -558,15 +559,24 @@ def test_astype_round_trip():
 
 
 def test_compute_params_promotes_with_float64():
-    # Float32 storage gets one float64 copy; float64 and longdouble
-    # parameters are used as they are, with no copy.
+    # Float32 storage gets one float64 copy of every tensor but the embedding
+    # tables, which stay its own float32 arrays; a full astype copies them
+    # too. Float64 and longdouble parameters are used as they are, with no
+    # copy.
     cfg = small_cfg(arch="attention")
     p = make_joint(cfg)
     p64 = compute_params(p)
     assert p64 is not p
     assert p.softmax_w.dtype == np.float32
     for (name, t64), t in zip(p64.tensors().items(), p.tensors().values()):
-        assert t64.dtype == np.float64, name
+        if name in EMBEDDING_TABLES:
+            assert t64 is t, name
+        else:
+            assert t64.dtype == np.float64, name
+            assert np.array_equal(t64, t), name
+    full = p.astype(np.float64)
+    for (name, t64), t in zip(full.tensors().items(), p.tensors().values()):
+        assert t64.dtype == np.float64 and not np.shares_memory(t64, t), name
         assert np.array_equal(t64, t), name
     assert compute_params(p64) is p64
     wide = p.astype(np.longdouble)
@@ -601,17 +611,40 @@ def test_compute_params_lays_out_the_output_layer():
     assert compute_params(replace(pc, softmax_w=pc.softmax_w.copy())) is not pc
 
 
-def test_writes_through_the_cast_views_reach_the_scores():
+def test_compute_params_copies_no_embedding_table():
+    # The cast allocates the output layer and the other widened tensors, and
+    # nothing the size of an embedding table: those stay the float32 storage.
+    cfg = small_cfg(arch="attention")
+    vocab = 20000
+    p = make_joint(cfg, src_v=vocab, tgt_v=vocab)
+    widened = 8 * sum(t.size for name, t in p.tensors().items()
+                      if name not in {*EMBEDDING_TABLES, "softmax_w", "softmax_b"})
+    layer = 8 * vocab * (p.hidden_dims[-1] + 2)
+    slack = 64 * 1024
+    assert 8 * min(p.src_embeddings.size, p.tgt_embeddings.size) > slack
+    assert traced_peak(compute_params, p) <= layer + widened + slack
+
+
+@pytest.mark.parametrize("where", ["output_layer", "tables"])
+def test_writes_through_the_cast_views_reach_the_scores(where):
     # In-place edits of the cast's softmax_w and softmax_b are edits of the
-    # matrix that scoring reads, so no copy of them can go stale.
+    # matrix that scoring reads, and the cast's embedding tables are the
+    # float32 storage, so an edit of either reaches the scores and no copy
+    # can go stale.
     cfg = small_cfg()
-    pc = compute_params(make_joint(cfg, tgt_v=30, seed=7))
+    p = make_joint(cfg, tgt_v=30, seed=7)
+    pc = compute_params(p)
     samples = random_samples(cfg, 8, 5, tgt_v=30)
     before = log_probs_batch(samples, cfg, pc)
-    pc.softmax_w[samples[0].target] += 0.75
-    pc.softmax_w[3, 2] = -4.0
-    pc.softmax_b[samples[1].target] = 2.5
-    pc.softmax_b[10:20] -= 1.0
+    if where == "output_layer":
+        pc.softmax_w[samples[0].target] += 0.75
+        pc.softmax_w[3, 2] = -4.0
+        pc.softmax_b[samples[1].target] = 2.5
+        pc.softmax_b[10:20] -= 1.0
+    else:
+        p.src_embeddings[samples[0].source_ids[-1]] += 0.75
+        p.tgt_embeddings[samples[1].history[-1]] = -1.5
+        p.tgt_embeddings[10:20, 1] -= 1.0
     assert compute_params(pc) is pc
     got = log_probs_batch(samples, cfg, pc)
     expected = [reference_log_probs(s, cfg, pc)[s.target] for s in samples]

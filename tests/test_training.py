@@ -9,7 +9,7 @@ import cjlm.training as tr
 from cjlm.corpus import TrainingSample
 from cjlm.encoder import ARCHS, EncoderConfig
 from cjlm.errors import ConfigError, TrainingDivergedError
-from cjlm.jointlm import JointModelParams, SampleBatch
+from cjlm.jointlm import EMBEDDING_TABLES, JointModelParams, SampleBatch, compute_params
 from cjlm.training import (
     EpochMetrics,
     GradientStore,
@@ -149,23 +149,28 @@ def test_sgd_step_blocks_match_the_whole_tensor_formula(monkeypatch, order):
     expected = {name: (t.astype(np.float64) - 0.3 * grads[name]).astype(np.float32)
                 for name, t in params.tensors().items()}
     mirrored = params.astype(np.float32)
-    mirror = mirrored.astype(np.float64)
+    mirror = compute_params(mirrored)
     sgd_step(params, GradientStore(grads), learning_rate=0.3)
     sgd_step(mirrored, GradientStore(grads), learning_rate=0.3, mirror=mirror)
     for name, t in params.tensors().items():
         assert np.array_equal(t, expected[name]), name
+        assert mirrored.tensors()[name].tobytes() == t.tobytes(), name
     assert_mirrors(mirror, mirrored)
-    assert_mirrors(mirror, params)
 
 
 def assert_mirrors(mirror, params, cast=JointModelParams.astype):
-    """``mirror`` equals a fresh float64 cast of ``params`` bit for bit, its
+    """``mirror``'s embedding tables are ``params``'s own arrays, and every
+    other tensor equals a fresh float64 cast of ``params`` bit for bit, its
     output layer's ones column included. ``cast`` is bound at import, so a
     test that counts calls of ``astype`` can still call this."""
     fresh = cast(params, np.float64)
+    own = params.tensors()
     assert mirror.output_layer.tobytes() == fresh.output_layer.tobytes()
     for name, t in fresh.tensors().items():
-        assert mirror.tensors()[name].tobytes() == t.tobytes(), name
+        if name in EMBEDDING_TABLES:
+            assert mirror.tensors()[name] is own[name], name
+        else:
+            assert mirror.tensors()[name].tobytes() == t.tobytes(), name
 
 
 def test_sgd_step_clips_by_global_norm():
@@ -413,9 +418,9 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     cast = JointModelParams.astype
     casts = []
 
-    def counting(params, dtype):
-        casts.append(dtype)
-        return cast(params, dtype)
+    def counting(params, dtype, *, share_tables=False):
+        casts.append((dtype, share_tables))
+        return cast(params, dtype, share_tables=share_tables)
 
     steps = []
 
@@ -432,6 +437,9 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     _, metrics = train(tiny_samples(cfg, 20, 15), cfg, tc, make_joint(cfg),
                        held_out=tiny_samples(cfg, 6, 16))
     assert len(casts) == 2 + tc.epochs
+    # The mirror alone shares the tables; the checkpoints copy them.
+    assert casts == [(np.float32, False), (np.float64, True)] + [
+        (np.float32, False)] * tc.epochs
     assert len(steps) == tc.epochs * -(-20 // minibatch)
     assert all(m is steps[0][0] for m, _ in steps)
     # Every later step writes its softmax_w gradient into the first step's.
