@@ -206,15 +206,15 @@ def sigmoid_stack_backward(da: np.ndarray, x: np.ndarray, acts: list[np.ndarray]
 
 @dataclass
 class BatchCache:
-    """Everything the batched backward pass needs from the forward pass.
+    """Everything the batched backward pass needs from the forward pass: the
+    layer values and the gathered rows, never a window copy of them. Each
+    backward stage rebuilds the windows it reads (``_windows``) from these.
 
     The first layer is linear in the embedding rows, so its word-column terms
     are computed once per distinct source row: ``src`` holds those rows,
     sample i reads ``src[src_of[i]]``, ``src_order`` and ``src_starts`` list
-    each source's samples (``group_rows``), and ``src_rows`` and the windows
-    of them that ``_guided_linear`` read for conv1 and the local gate,
-    ``windows1`` and ``gate_in``, are per source. The 0/1 tag columns,
-    ``tags``, are per sample.
+    each source's samples (``group_rows``), and ``src_rows``, their embedding
+    rows, are per source. The 0/1 tag columns, ``tags``, are per sample.
 
     Pooling keeps no full sigmoid layer: ``take`` marks the pair member each
     fused value came from, ``top_idx`` each feature's top-k locations and
@@ -226,16 +226,13 @@ class BatchCache:
     src_order: np.ndarray
     src_starts: np.ndarray
     src_rows: np.ndarray
-    windows1: np.ndarray = None
     tags: np.ndarray | None = None
     hist_flat: np.ndarray | None = None
     signal_acts: list[np.ndarray] = field(default_factory=list)
     z1: np.ndarray = None
     alpha: np.ndarray = None
-    gate_in: np.ndarray = None
     take: np.ndarray = None
     z2: np.ndarray = None
-    windows3: np.ndarray = None
     z3: np.ndarray = None
     omega: np.ndarray = None
     top_idx: np.ndarray = None
@@ -324,35 +321,38 @@ def _group_sum(x: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarr
 def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
                    span: int = CONV_WINDOW, step: int = 1,
                    bias: np.ndarray | float = 0.0
-                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The two terms of the per-sample ``_windows(layer0, n, span, step) @
-    w.T`` for a 2-D weight over windows of layer-0 rows (a source embedding,
-    then the sample's tag columns), and the per-source embedding windows it
-    read. The word term runs once per distinct source, sample i reads its
-    row ``src_of[i]``; the tag term is per sample, None without tag columns.
-    ``bias`` joins the word term. Sample i's product is its word row plus its
-    tag row, in that order, which fixes the rounding."""
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The two terms ``(word, tag)`` of the per-sample ``_windows(layer0, n,
+    span, step) @ w.T`` for a 2-D weight over windows of layer-0 rows (a
+    source embedding, then the sample's tag columns). The word term runs once
+    per distinct source, on windows of ``src_rows`` dropped after the product;
+    sample i reads its row ``src_of[i]``. The tag term is per sample, None
+    without tag columns. ``bias`` joins the word term. Sample i's product is
+    its word row plus its tag row, in that order, which fixes the rounding."""
     w_word, w_tag = _split_columns(w, cfg)
-    windows = _windows(cache.src_rows, n, span, step)
-    word = _matmul(windows, w_word.reshape(len(w), -1).T)
+    word = _matmul(_windows(cache.src_rows, n, span, step), w_word.reshape(len(w), -1).T)
     word += bias
     tag = None
     if cfg.tag_bits:
         tag = _matmul(_windows(cache.tags, n, span, step), w_tag.reshape(len(w), -1).T)
-    return word, tag, windows
+    return word, tag
 
 
-def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, windows: np.ndarray,
-                            w: np.ndarray, cfg: EncoderConfig, dsrc_rows: np.ndarray,
+def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, w: np.ndarray,
+                            cfg: EncoderConfig, dsrc_rows: np.ndarray,
                             step: int = 1) -> np.ndarray:
-    """Adjoint of ``_guided_linear`` for its product's gradient ``dout`` and
-    the ``windows`` it returned: adds the embedding-row gradient into
-    ``dsrc_rows`` and returns ``w``'s gradient, the word columns from the
-    per-source sums of ``dout``, the tag columns from ``dout`` itself."""
+    """Adjoint of ``_guided_linear`` for its product's gradient ``dout``: adds
+    the embedding-row gradient into ``dsrc_rows`` and returns ``w``'s
+    gradient, the word columns from the per-source sums of ``dout``, the tag
+    columns from ``dout`` itself, each over windows rebuilt to span ``w``'s
+    column blocks. The word windows are freed before the adjoint product of
+    their shape is allocated."""
     dout_src = _group_sum(dout, cache.src_order, cache.src_starts)
     dw = np.empty_like(w)
     dw_word, dw_tag = _split_columns(dw, cfg)
+    windows = _windows(cache.src_rows, dout.shape[1], dw_word.shape[1], step)
     dw_word[...] = (_flat(dout_src).T @ _flat(windows)).reshape(dw_word.shape)
+    del windows
     if cfg.tag_bits:
         tag_windows = _windows(cache.tags, dout.shape[1], dw_tag.shape[1], step)
         dw_tag[...] = (_flat(dout).T @ _flat(tag_windows)).reshape(dw_tag.shape)
@@ -414,7 +414,7 @@ def forward_batch(
         guides = np.stack((aff_mask, head_mask)[: cfg.tag_bits], axis=2)
         cache.tags = (guides & (ids != PAD_ID)[..., None]).astype(dtype)
 
-    word1, tag1, cache.windows1 = _guided_linear(
+    word1, tag1 = _guided_linear(
         cache, p.conv1_w[:, cfg.prefix_dim :], cfg, cfg.conv_locs1, bias=p.conv1_b)
     signal1 = None
     if cfg.arch == "attention":
@@ -424,7 +424,7 @@ def forward_batch(
 
     gating = cfg.fusion == "gating"
     if gating:
-        u_word, u_tag, cache.gate_in = _guided_linear(
+        u_word, u_tag = _guided_linear(
             cache, p.gate_local_w[None], cfg, cfg.fused_locs, 2 * LOCAL_PAIR, LOCAL_PAIR)
         u = u_word[cache.src_of]
         if u_tag is not None:
@@ -459,8 +459,7 @@ def forward_batch(
             sigmoid(np.where(take, pre1[:, 0::2], pre1[:, 1::2]), out=z2)
     del word1, tag1, buf
 
-    cache.windows3 = _windows(cache.z2, cfg.conv_locs3)
-    pre3 = _matmul(cache.windows3, p.conv3_w.T)
+    pre3 = _matmul(_windows(cache.z2, cfg.conv_locs3), p.conv3_w.T)
     if not gating:
         cache.top_idx = np.empty((batch, cfg.pool_k, cfg.filters3), np.intp)
         cache.z3_top = np.empty(cache.top_idx.shape, dtype)
@@ -512,15 +511,15 @@ def backward_batch(
         dscores = omega * (domega - inner[:, None])
         grads["gate_global_w"] = np.einsum("bl,blf->f", dscores, z3)
         dz3 += dscores[..., None] * p.gate_global_w
-        dpre3 = sigmoid_layer_backward(dz3, cache.windows3, z3, "conv3", grads)
+        dpre3 = dz3 * z3 * (1.0 - z3)
     else:
         # Only the top-k locations have a gradient. They are distinct, so
         # assignment is the scatter-add.
         z3_top = cache.z3_top
         dtop = (dz4 / cfg.pool_k)[:, None, :] * z3_top * (1.0 - z3_top)
-        dpre3 = np.zeros((*cache.windows3.shape[:2], cfg.filters3), dtop.dtype)
+        dpre3 = np.zeros((len(dtop), cfg.conv_locs3, cfg.filters3), dtop.dtype)
         np.put_along_axis(dpre3, cache.top_idx, dtop, axis=1)
-        linear_backward(dpre3, cache.windows3, "conv3", grads)
+    linear_backward(dpre3, _windows(cache.z2, cfg.conv_locs3), "conv3", grads)
     dz2 = _windows_backward(_matmul(dpre3, p.conv3_w), np.zeros_like(cache.z2))
 
     dsrc_rows = np.zeros_like(cache.src_rows)
@@ -532,8 +531,8 @@ def backward_batch(
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
         du = dalpha * alpha * (1.0 - alpha)
         grads["gate_local_w"] = _guided_linear_backward(
-            cache, du[..., None], cache.gate_in, p.gate_local_w[None], cfg,
-            dsrc_rows, LOCAL_PAIR)[0]
+            cache, du[..., None], p.gate_local_w[None], cfg, dsrc_rows,
+            LOCAL_PAIR)[0]
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
         dpre1 = dz1 * z1 * (1.0 - z1)
     else:
@@ -543,8 +542,8 @@ def backward_batch(
         dpre1 = np.empty((len(z2), cfg.conv_locs1, z2.shape[2]), dpool.dtype)
         dpre1[:, 0::2] = np.where(take, dpool, 0.0)
         dpre1[:, 1::2] = np.where(take, 0.0, dpool)
-    dw1 = _guided_linear_backward(cache, dpre1, cache.windows1,
-                                  p.conv1_w[:, cfg.prefix_dim :], cfg, dsrc_rows)
+    dw1 = _guided_linear_backward(cache, dpre1, p.conv1_w[:, cfg.prefix_dim :],
+                                  cfg, dsrc_rows)
     if cfg.arch == "attention":
         # The signal enters every window of a sample alike.
         dpre_signal = dpre1.sum(axis=1)

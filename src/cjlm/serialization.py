@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import mmap
 import os
 import struct
@@ -204,8 +205,8 @@ def load_model(path) -> ModelArtifact:
                 f"malformed tensor name {raw_name!r}: not UTF-8") from None
         rank = reader.unpack("<B")
         shape = tuple(reader.unpack("<I") for _ in range(rank))
-        n_items = int(np.prod(shape)) if shape else 1
-        payload = reader.take(n_items * TENSOR_DTYPE.itemsize)
+        # Counted exactly: a product of crafted dims must not wrap in int64.
+        payload = reader.take(math.prod(shape) * TENSOR_DTYPE.itemsize)
         if name in tensors:
             raise ModelFormatError(f"duplicate tensor {name!r}")
         tensors[name] = (

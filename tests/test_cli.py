@@ -11,7 +11,7 @@ import cjlm
 from cjlm.cli import cli
 from cjlm.serialization import load_model
 
-from test_serialization import non_utf8_name_copy
+from test_serialization import non_utf8_name_copy, wrapping_shape_copy
 from toytasks import chain_pairs
 
 
@@ -393,6 +393,13 @@ def test_inspect_non_utf8_tensor_name_is_one_line_error(trained_model, tmp_path,
     assert cli(["inspect", "--model", str(bad)]) == 1
     assert_one_line_error(
         capsys, "malformed tensor name b'\\xe9rc_embeddings': not UTF-8")
+
+
+def test_inspect_wrapping_tensor_shape_is_one_line_error(trained_model, tmp_path,
+                                                         capsys):
+    bad = wrapping_shape_copy(trained_model, tmp_path / "bad.cjlm")
+    assert cli(["inspect", "--model", str(bad)]) == 1
+    assert_one_line_error(capsys, "truncated model file")
 
 
 @pytest.mark.parametrize("existing", [False, True])

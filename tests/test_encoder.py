@@ -64,12 +64,12 @@ def layer0(cache):
 
 def guided_product(cache, *args, **kw):
     """``_guided_linear``'s per-sample product, its word row plus its tag
-    row, and the windows it read."""
-    word, tag, windows = _guided_linear(cache, *args, **kw)
+    row, and its word term."""
+    word, tag = _guided_linear(cache, *args, **kw)
     out = word[cache.src_of]
     if tag is not None:
         out += tag
-    return out, windows
+    return out, word
 
 
 IDS = (PAD_ID, PAD_ID, 4, 5, 6, 7, 8, 9, 10, 11)
@@ -563,8 +563,8 @@ def test_pooling_on_pre_activations_through_ties_and_saturation(pool_k):
     dz1[:, 1::2] = np.where(take, 0.0, dz2)
     dpre1 = dz1 * z1 * (1.0 - z1)
     dsrc_rows = np.zeros_like(cache.src_rows)
-    want["conv1_w"] = _guided_linear_backward(cache, dpre1, cache.windows1,
-                                              p.conv1_w, cfg, dsrc_rows)
+    want["conv1_w"] = _guided_linear_backward(cache, dpre1, p.conv1_w, cfg,
+                                              dsrc_rows)
     want["conv1_b"] = dpre1.reshape(-1, cfg.filters1).sum(axis=0)
     want["src_embeddings"] = encoder.embedding_grad(p.src_embeddings, cache.src,
                                                     dsrc_rows)
@@ -737,8 +737,9 @@ def test_forward_batch_shares_each_source(arch, fusion):
     phi, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
                                batch.hist, cfg, p)
     # conv1 reads the windows of the 3 distinct sources' embedding rows.
-    assert np.array_equal(cache.windows1, _windows(cache.src_rows, cfg.conv_locs1))
-    assert cache.windows1.shape[0] == 3
+    rows = p.src_embeddings[cache.src] * (cache.src != PAD_ID)[..., None]
+    assert np.array_equal(cache.src_rows, rows)
+    assert _windows(cache.src_rows, cfg.conv_locs1).shape[0] == 3
     assert np.array_equal(cache.src[cache.src_of], batch.ids)
     for i in range(len(batch)):
         two = [i, i]
@@ -748,6 +749,46 @@ def test_forward_batch_shares_each_source(arch, fusion):
             assert rel_err(phi[i], alone[0]) <= 1e-12, i
         else:
             assert np.array_equal(phi[i], alone[0]), i
+
+
+def kept_bytes(cfg, batch, n_src):
+    """Bytes of what a ``forward_batch`` cache must keep over ``batch``
+    samples of ``n_src`` sources, from the config's shapes: the gathered rows
+    and the layer values, float64 or 8-byte indices, and pooling's picks."""
+    values = (n_src * cfg.maxlen * cfg.emb_dim  # src_rows
+              + batch * cfg.maxlen * cfg.tag_bits  # tags
+              + batch * cfg.fused_locs * cfg.filters1  # z2
+              + batch * (cfg.filters3 + cfg.repr_dim))  # z4, phi
+    if cfg.arch == "attention":  # hist_flat, signal_acts
+        values += batch * (cfg.history * cfg.tgt_emb_dim
+                           + cfg.attn_depth * cfg.attn_dim)
+    if cfg.fusion == "gating":  # z1, alpha, z3, omega
+        values += batch * (cfg.conv_locs1 * cfg.filters1 + cfg.fused_locs
+                           + cfg.conv_locs3 * (cfg.filters3 + 1))
+    else:  # z3_top, top_idx
+        values += 2 * batch * cfg.pool_k * cfg.filters3
+    indices = n_src * cfg.maxlen + 2 * batch + n_src + 1  # src, src_of, order, starts
+    take = batch * cfg.fused_locs * cfg.filters1 if cfg.fusion == "pooling" else 0
+    return 8 * (values + indices) + take
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_forward_cache_keeps_no_window_copy(arch, fusion):
+    # Backward rebuilds every window it reads, so the cache holds the layer
+    # values and gathered rows alone: a copy of conv1's, the local gate's or
+    # conv3's windows would add its bytes to these.
+    cfg = small_cfg(arch=arch, fusion=fusion)
+    p = make_joint(cfg, seed=5).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(27))
+    _, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
+                             batch.hist, cfg, p)
+    arrays = []
+    for f in fields(cache):
+        value = getattr(cache, f.name)
+        arrays += value if isinstance(value, list) else [value]
+    total = sum(a.nbytes for a in arrays if a is not None)
+    assert total <= kept_bytes(cfg, len(batch), 3)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -835,12 +876,15 @@ def guided_case(arch, span, step):
 @pytest.mark.parametrize("span,step", [(3, 1), (4, 2)])
 def test_guided_linear_is_the_layer0_window_product(arch, span, step):
     cfg, cache, w, n, rng = guided_case(arch, span, step)
-    out, windows = guided_product(cache, w, cfg, n, span, step)
+    out, word = guided_product(cache, w, cfg, n, span, step)
     assert cache.src_rows.shape[0] == 3 < len(cache.src_of)
     ref = _windows(layer0(cache), n, span, step) @ w.T
     assert out.shape == ref.shape
     assert rel_err(out, ref) <= 1e-12
-    assert np.array_equal(windows, _windows(cache.src_rows, n, span, step))
+    # The word term is the product over the windows of the source rows.
+    windows = _windows(cache.src_rows, n, span, step)
+    w_word = encoder._split_columns(w, cfg)[0].reshape(len(w), -1)
+    assert np.array_equal(word, _matmul(windows, w_word.T))
     bias = rng.normal(size=len(w))
     biased, _ = guided_product(cache, w, cfg, n, span, step, bias=bias)
     assert rel_err(biased, ref + bias) <= 1e-12
@@ -852,14 +896,15 @@ def test_guided_linear_backward_is_its_adjoint(arch, span, step):
     # The product is linear in w, and its word term is linear in the source
     # rows: <product, g> = <w, dw> and <word term, g> = <src_rows, dsrc_rows>.
     cfg, cache, w, n, rng = guided_case(arch, span, step)
-    out, windows = guided_product(cache, w, cfg, n, span, step)
+    out, _ = guided_product(cache, w, cfg, n, span, step)
     g = rng.normal(size=out.shape)
     start = rng.normal(size=cache.src_rows.shape)
     dsrc_rows = start.copy()
-    dw = _guided_linear_backward(cache, g, windows, w, cfg, dsrc_rows, step)
+    dw = _guided_linear_backward(cache, g, w, cfg, dsrc_rows, step)
     assert dw.shape == w.shape
     assert rel_err(np.vdot(w, dw), np.vdot(out, g)) <= 1e-12
     word = w.reshape(len(w), span, cfg.input_dim)[..., : cfg.emb_dim]
+    windows = _windows(cache.src_rows, n, span, step)
     word_term = windows[cache.src_of] @ word.reshape(len(w), -1).T
     assert rel_err(np.vdot(cache.src_rows, dsrc_rows - start),
                    np.vdot(word_term, g)) <= 1e-12

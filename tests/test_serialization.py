@@ -323,16 +323,34 @@ def test_model_file_format_is_pinned(tmp_path, arch, fusion):
     assert hashlib.sha256(blob).hexdigest() == PINNED_SHA256[arch, fusion]
 
 
-def non_utf8_name_copy(path, out):
-    """Copy a model file with the first byte of its first tensor name set to
-    0xe9 and the checksum recomputed."""
+def first_record_copy(path, out, edit):
+    """Copy a model file with ``edit(blob, pos)`` applied to its bytes, where
+    ``pos`` is the offset of the first tensor record, and the checksum
+    recomputed."""
     blob = bytearray(path.read_bytes())
     prefix, _ = read_tensor_block(bytes(blob))
-    blob[len(prefix) + 4 + 2] = 0xE9  # after the tensor count and name length
+    edit(blob, len(prefix) + 4)  # after the tensor count
     blob[-CHECKSUM_BYTES:] = hashlib.sha256(
         blob[:-CHECKSUM_BYTES]).digest()[:CHECKSUM_BYTES]
     out.write_bytes(bytes(blob))
     return out
+
+
+def non_utf8_name_copy(path, out):
+    """Copy a model file with the first byte of its first tensor name set to
+    0xe9."""
+    def edit(blob, pos):
+        blob[pos + 2] = 0xE9  # after the name length
+    return first_record_copy(path, out, edit)
+
+
+def wrapping_shape_copy(path, out):
+    """Copy a model file with its first tensor's shape set to (2**31, 2**31,
+    4), whose element count wraps to 0 in int64."""
+    def edit(blob, pos):
+        at = pos + 2 + struct.unpack_from("<H", blob, pos)[0]
+        blob[at : at + 1 + 4 * blob[at]] = struct.pack("<B3I", 3, 2**31, 2**31, 4)
+    return first_record_copy(path, out, edit)
 
 
 def test_rejects_non_utf8_tensor_name(tmp_path):
@@ -340,6 +358,13 @@ def test_rejects_non_utf8_tensor_name(tmp_path):
     path = non_utf8_name_copy(tmp_path / "m", tmp_path / "bad")
     with pytest.raises(ModelFormatError, match=r"malformed tensor name "
                        r"b'\\xe9rc_embeddings': not UTF-8"):
+        load_model(path)
+
+
+def test_rejects_shape_whose_element_count_wraps(tmp_path):
+    save_model(make_artifact(), tmp_path / "m")
+    path = wrapping_shape_copy(tmp_path / "m", tmp_path / "bad")
+    with pytest.raises(ModelFormatError, match="^truncated model file$"):
         load_model(path)
 
 
