@@ -384,7 +384,6 @@ def predict_backward_batch(
     cache: PredictorCache,
     dlogits: np.ndarray,
     p: JointModelParams,
-    softmax_w_grad: np.ndarray | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Predictor gradients for a given logits gradient.
 
@@ -392,15 +391,10 @@ def predict_backward_batch(
     respect to the encoder representation, and the gradient with respect to
     the flattened history embeddings. The embedding-table scatter happens in
     the caller, which also owns the attention-path history gradient.
-
-    ``softmax_w_grad``, a Fortran-ordered array shaped like ``softmax_w`` in
-    the compute dtype, receives the ``softmax_w`` gradient, which the dict
-    then holds; without it the gradient gets a new array of that layout.
     """
     grads = {}
     # The transpose of acts.T @ dlogits: the same product in the faster layout.
-    out = None if softmax_w_grad is None else softmax_w_grad.T
-    grads["softmax_w"] = np.matmul(cache.hidden_acts[-1].T, dlogits, out=out).T
+    grads["softmax_w"] = np.matmul(cache.hidden_acts[-1].T, dlogits).T
     grads["softmax_b"] = dlogits.sum(axis=0)
     da = sigmoid_stack_backward(dlogits @ p.softmax_w, cache.x0, cache.hidden_acts,
                                 p.hidden_layers, "hidden", grads)

@@ -171,7 +171,7 @@ def load_model(path) -> ModelArtifact:
     header_len = reader.unpack("<Q")
     try:
         header = json.loads(bytes(reader.take(header_len)).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(f"malformed header block: {e}") from None
     try:
         cfg = EncoderConfig(**header["encoder_config"])
@@ -190,7 +190,8 @@ def load_model(path) -> ModelArtifact:
         provenance = header["provenance"]
         expected = {spec.name: spec.shape for spec in
                     param_spec(cfg, len(src_vocab), len(tgt_vocab), hidden_dims)}
-    except (KeyError, TypeError, ValueError, ConfigError, CorpusError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError,
+            CorpusError) as e:
         raise ModelFormatError(f"malformed header block: {e}") from None
 
     count = reader.unpack("<I")

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError("grad_clip must be positive when set")
         if not 0 < self.init_scale <= float(np.finfo(PARAM_DTYPE).max):
             raise ConfigError("init_scale must be positive and finite in float32")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass
@@ -123,7 +125,6 @@ def backward(
     batch: SampleBatch,
     cfg: EncoderConfig,
     params: JointModelParams,
-    softmax_w_grad: np.ndarray | None = None,
 ) -> tuple[GradientStore, float]:
     """Exact gradients of the batch's mean NLL for every learnable tensor.
 
@@ -131,8 +132,6 @@ def backward(
     the attention arch, the guide-signal path. PAD embedding rows stay at
     zero gradient: they are constants of the model. An id outside its
     vocabulary raises ``ConfigError`` (``jointlm.check_ids``).
-    ``softmax_w_grad`` is passed to ``jointlm.predict_backward_batch``: the
-    returned ``softmax_w`` gradient is then that buffer.
     """
     jm.check_ids(batch, params)
     # One cast serves the forward and backward pass; parameters already in
@@ -148,8 +147,7 @@ def backward(
     # built in their buffer, which is not alive during the encoder backward.
     dlogits[rows, batch.targets] -= 1.0
     dlogits /= n
-    pred_grads, dphi, dhist_pred = jm.predict_backward_batch(
-        pred_cache, dlogits, pc, softmax_w_grad=softmax_w_grad)
+    pred_grads, dphi, dhist_pred = jm.predict_backward_batch(pred_cache, dlogits, pc)
     del dlogits, pred_cache
     enc_grads, dhist_attn = enc.backward_batch(enc_cache, dphi, cfg, pc)
     dhist = dhist_pred if dhist_attn is None else dhist_pred + dhist_attn
@@ -228,16 +226,12 @@ def train(
 
     Every step and the held-out perplexity read one mirror of ``params`` in
     the compute dtype, cast once with its output layer laid out and kept
-    equal to a fresh cast by ``sgd_step``. Later steps write their
-    ``softmax_w`` gradient into the first step's array, and a step's
-    gradients are freed before the next step starts. All three are for
-    glibc's allocator. It keeps the heap a step frees, so a fresh cast each
-    step, with the previous step's gradients still alive, grew the heap
-    step by step. Freeing the gradients lets it hand back the heap top
-    that the encoder backward needs, and the next step faults that in
-    again; a fresh ``softmax_w`` gradient each step was faulted in with it,
-    about twice the faults and a slower step. ``CHANGES.md`` has the
-    measurements.
+    equal to a fresh cast by ``sgd_step``, and a step's gradients are freed
+    before the next step starts. Both are for glibc's allocator. It keeps
+    the heap a step frees, so a fresh cast each step, with the previous
+    step's gradients still alive, grew the heap step by step. Freeing the
+    gradients lets it hand back the heap top that the encoder backward
+    needs. ``CHANGES.md`` has the measurements.
 
     The mirror shares the embedding tables with ``params``
     (``compute_params``): the update writes them once, in place, and
@@ -251,7 +245,6 @@ def train(
     best = math.inf
     checkpoint = params.astype(PARAM_DTYPE)
     mirror = jm.compute_params(params)
-    softmax_w_grad = None
 
     def diverged(message: str) -> TrainingDivergedError:
         return TrainingDivergedError(f"{message} (epoch {epoch})",
@@ -265,7 +258,7 @@ def train(
             idx = order[start : start + train_cfg.minibatch]
             batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
             try:
-                grads, nll = backward(batch, cfg, mirror, softmax_w_grad)
+                grads, nll = backward(batch, cfg, mirror)
             except TrainingDivergedError as e:
                 raise diverged(e.args[0]) from e
             if not math.isfinite(nll):
@@ -273,7 +266,6 @@ def train(
             assert not grads.tensors["src_embeddings"][PAD_ID].any()
             assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
             sgd_step(params, grads, lr, train_cfg.grad_clip, mirror)
-            softmax_w_grad = grads.tensors["softmax_w"]
             del grads  # before the next batch allocates anything
             total += nll * len(idx)
         # The last step, and embedding rows no later batch reads, can
@@ -322,23 +314,23 @@ def train_model(
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-def _check_batch(
-    cfg: EncoderConfig,
-    src_vocab_size: int,
-    tgt_vocab_size: int,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list[TrainingSample]:
+# The checked model: 20 types per side, one hidden layer, a batch of 4.
+_CHECK_VOCAB_SIZE = 20
+_CHECK_HIDDEN_DIMS = (12,)
+_CHECK_BATCH_SIZE = 4
+
+
+def _check_batch(cfg: EncoderConfig, rng: np.random.Generator) -> list[TrainingSample]:
     # Content ids only (>= 4) so the reserved rows stay out of the random
     # histories; a PAD in a history would make the fixed PAD row behave like a
     # trainable input and break the zero-gradient contract under perturbation.
     samples = []
     positions = np.arange(cfg.maxlen)
-    for _ in range(batch_size):
+    for _ in range(_CHECK_BATCH_SIZE):
         length = int(rng.integers(cfg.maxlen // 2, cfg.maxlen + 1))
         offset = cfg.maxlen - length
         ids = [PAD_ID] * offset + [
-            int(t) for t in rng.integers(4, src_vocab_size, size=length)
+            int(t) for t in rng.integers(4, _CHECK_VOCAB_SIZE, size=length)
         ]
         live = positions[offset:]
         aff = frozenset(
@@ -352,9 +344,9 @@ def _check_batch(
                                            replace=False)
             )
         history = tuple(
-            int(t) for t in rng.integers(4, tgt_vocab_size, size=cfg.history)
+            int(t) for t in rng.integers(4, _CHECK_VOCAB_SIZE, size=cfg.history)
         )
-        target = int(rng.integers(4, tgt_vocab_size))
+        target = int(rng.integers(4, _CHECK_VOCAB_SIZE))
         samples.append(TrainingSample(tuple(ids), aff, heads, history, target))
     return samples
 
@@ -363,10 +355,6 @@ def gradient_check(
     cfg: EncoderConfig,
     seed: int = 0,
     epsilon: float = 1e-4,
-    src_vocab_size: int = 20,
-    tgt_vocab_size: int = 20,
-    hidden_dims: Sequence[int] = (12,),
-    batch_size: int = 4,
     max_coords_per_group: int = 64,
 ) -> dict[str, float]:
     """Max relative error of the analytic gradient per parameter group.
@@ -375,17 +363,20 @@ def gradient_check(
     central differences, in longdouble with the pinned step, read the loss
     through ``jointlm.log_probs_batch``, a separate forward route. A broken
     gradient anywhere shows up as a group error orders of magnitude above the
-    1e-4 acceptance bound.
+    1e-4 acceptance bound. A non-finite error, from a NaN or infinite loss
+    or gradient, reads as infinity.
     """
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
     if max_coords_per_group < 1:
         raise ConfigError("max_coords_per_group must be at least 1")
     rng = np.random.default_rng(seed)
     params = JointModelParams.initialize(
-        cfg, src_vocab_size, tgt_vocab_size, hidden_dims, rng
+        cfg, _CHECK_VOCAB_SIZE, _CHECK_VOCAB_SIZE, _CHECK_HIDDEN_DIMS, rng
     ).astype(np.longdouble)
-    samples = _check_batch(cfg, src_vocab_size, tgt_vocab_size, batch_size, rng)
+    samples = _check_batch(cfg, rng)
     grads, _ = backward(SampleBatch.from_samples(samples, cfg), cfg, params)
     eps = np.longdouble(epsilon)
     report: dict[str, float] = {}
@@ -409,6 +400,7 @@ def gradient_check(
             fd = (up - down) / (2 * eps)
             a = analytic[i]
             rel = float(abs(a - fd) / max(abs(a), abs(fd), np.longdouble(1e-8)))
-            worst = max(worst, rel)
+            # max() would drop a NaN, and a NaN loss would pass.
+            worst = max(worst, rel if math.isfinite(rel) else math.inf)
         report[name] = worst
     return report

@@ -5,13 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cjlm
+import cjlm.jointlm as jm
 from cjlm.cli import cli
 from cjlm.serialization import load_model
 
-from test_serialization import non_utf8_name_copy, wrapping_shape_copy
+from test_serialization import (
+    CRAFTED_HEADERS,
+    header_copy,
+    non_utf8_name_copy,
+    wrapping_shape_copy,
+)
 from toytasks import chain_pairs
 
 
@@ -235,10 +242,32 @@ def test_grad_check_rejects_max_coords_below_one(coords, capsys):
     assert_one_line_error(capsys, "max_coords_per_group must be at least 1")
 
 
+def test_grad_check_fails_a_nan_loss(monkeypatch, capsys):
+    monkeypatch.setattr(jm, "log_probs_batch",
+                        lambda samples, cfg, p: np.full(len(samples), np.nan))
+    code = cli(["grad-check", "--arch", "tag", "--fusion", "gating",
+                "--max-coords", "2"])
+    assert code == 1
+    assert "error: gradient check failed: tag/gating " in capsys.readouterr().err
+
+
+def test_grad_check_rejects_negative_seed(capsys):
+    code = cli(["grad-check", "--arch", "tag", "--fusion", "gating", "--seed", "-1"])
+    assert code == 1
+    assert_one_line_error(capsys, "seed must be non-negative")
+
+
 def test_train_rejects_vocab_limit_below_one(corpus_dir, tmp_path, capsys):
     out = tmp_path / "m.cjlm"
     assert cli(train_args(corpus_dir, out, extra=("--vocab-limit", "0"))) == 1
     assert_one_line_error(capsys, "vocab-limit must be at least 1")
+    assert not out.exists()
+
+
+def test_train_rejects_negative_seed(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "m.cjlm"
+    assert cli(train_args(corpus_dir, out, extra=("--seed", "-1"))) == 1
+    assert_one_line_error(capsys, "seed must be non-negative")
     assert not out.exists()
 
 
@@ -400,6 +429,15 @@ def test_inspect_wrapping_tensor_shape_is_one_line_error(trained_model, tmp_path
     bad = wrapping_shape_copy(trained_model, tmp_path / "bad.cjlm")
     assert cli(["inspect", "--model", str(bad)]) == 1
     assert_one_line_error(capsys, "truncated model file")
+
+
+@pytest.mark.parametrize("crafted", sorted(CRAFTED_HEADERS))
+def test_inspect_crafted_header_is_one_line_error(trained_model, tmp_path, capsys,
+                                                  crafted):
+    edit, message = CRAFTED_HEADERS[crafted]
+    bad = header_copy(trained_model, tmp_path / "bad.cjlm", edit)
+    assert cli(["inspect", "--model", str(bad)]) == 1
+    assert_one_line_error(capsys, f"malformed header block: {message}")
 
 
 @pytest.mark.parametrize("existing", [False, True])

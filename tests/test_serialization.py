@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -157,6 +158,44 @@ def test_rejects_corrupt_header_json(tmp_path):
         bytes(blob[:-CHECKSUM_BYTES])).digest()[:CHECKSUM_BYTES]
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError, match="malformed header"):
+        load_model(path)
+
+
+def header_copy(path, out, edit):
+    """Copy a model file with its header block replaced by ``edit(header)``,
+    its length and the checksum rewritten to match."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<Q", blob, start)
+    header = edit(blob[start + 8 : start + 8 + length])
+    body = (blob[:start] + struct.pack("<Q", len(header)) + header
+            + blob[start + 8 + length : -CHECKSUM_BYTES])
+    out.write_bytes(body + hashlib.sha256(body).digest()[:CHECKSUM_BYTES])
+    return out
+
+
+# Checksummed headers on which ``json.loads`` raises RecursionError and
+# ``int(inf)`` raises OverflowError, neither of them a ValueError.
+CRAFTED_HEADERS = {
+    "nested": (lambda h: b"[" * 100_000,
+               "maximum recursion depth exceeded while decoding a JSON array "
+               "from a unicode string"),
+    "infinite-hidden-dim": (
+        lambda h: re.sub(rb'"hidden_dims":\[[^\]]*\]', b'"hidden_dims":[1e999]', h),
+        "cannot convert float infinity to integer"),
+    "infinite-limit": (
+        lambda h: re.sub(rb'"limit":\d+', b'"limit":1e999', h, count=1),
+        "cannot convert float infinity to integer"),
+}
+
+
+@pytest.mark.parametrize("crafted", sorted(CRAFTED_HEADERS))
+def test_rejects_crafted_header(tmp_path, crafted):
+    edit, message = CRAFTED_HEADERS[crafted]
+    save_model(make_artifact(), tmp_path / "m")
+    path = header_copy(tmp_path / "m", tmp_path / "bad", edit)
+    with pytest.raises(ModelFormatError,
+                       match=f"^malformed header block: {re.escape(message)}$"):
         load_model(path)
 
 

@@ -1,6 +1,7 @@
 """SGD training loop, gradient exactness, and divergence handling."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -55,6 +56,8 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError, match="grad_clip must be positive"):
         TrainConfig(grad_clip=0.0)
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        TrainConfig(seed=-1)
     # The weights are drawn in float64 and stored in float32, where 1e39
     # would overflow.
     for scale in (-0.1, math.inf, 1e308, 1e39):
@@ -262,27 +265,20 @@ def test_gradient_check_catches_a_planted_bug(monkeypatch):
     assert max(untouched.values()) < 1e-4
 
 
+def test_gradient_check_fails_a_nan_loss(monkeypatch):
+    # A NaN error is a failure, not a group that max() quietly skips.
+    monkeypatch.setattr(tr.jm, "log_probs_batch",
+                        lambda samples, cfg, p: np.full(len(samples), np.nan))
+    report = gradient_check(check_cfg(), seed=3, max_coords_per_group=2)
+    assert all(err >= 1e-4 for err in report.values()), report
+
+
 def test_backward_loss_agrees_with_forward():
     cfg = check_cfg(arch="attention")
     params = make_joint(cfg)
     samples = tiny_samples(cfg, 5, 4)
     _, nll = backward(SampleBatch.from_samples(samples, cfg), cfg, params)
     assert nll == pytest.approx(minibatch_loss(samples, cfg, params), abs=1e-12)
-
-
-def test_backward_into_a_kept_softmax_w_gradient():
-    # The buffer receives the same bits as a fresh gradient, and every other
-    # gradient is unchanged by it.
-    cfg = check_cfg()
-    params = make_joint(cfg).astype(np.float64)
-    batch = SampleBatch.from_samples(tiny_samples(cfg, 7, 8), cfg)
-    fresh, nll = backward(batch, cfg, params)
-    buf = np.full_like(fresh.tensors["softmax_w"], np.nan, order="F")
-    kept, kept_nll = backward(batch, cfg, params, buf)
-    assert np.shares_memory(kept.tensors["softmax_w"], buf)
-    assert kept_nll == nll
-    for name, g in fresh.tensors.items():
-        assert kept.tensors[name].tobytes() == g.tobytes(), name
 
 
 def test_backward_keeps_pad_rows_at_zero():
@@ -427,7 +423,7 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     def checked(params, grads, learning_rate, grad_clip=None, mirror=None):
         out = sgd_step(params, grads, learning_rate, grad_clip, mirror)
         assert_mirrors(mirror, params)
-        steps.append((mirror, grads.tensors["softmax_w"]))
+        steps.append(mirror)
         return out
 
     monkeypatch.setattr(JointModelParams, "astype", counting)
@@ -441,10 +437,32 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     assert casts == [(np.float32, False), (np.float64, True)] + [
         (np.float32, False)] * tc.epochs
     assert len(steps) == tc.epochs * -(-20 // minibatch)
-    assert all(m is steps[0][0] for m, _ in steps)
-    # Every later step writes its softmax_w gradient into the first step's.
-    assert all(np.shares_memory(g, steps[0][1]) for _, g in steps)
+    assert all(m is steps[0] for m in steps)
     assert all(m.held_out_ppl is not None for m in metrics)
+
+
+def test_train_holds_no_gradient_between_steps(monkeypatch):
+    # When a step's backward starts, the previous step's gradients are dead:
+    # train keeps no gradient array from one step to the next.
+    cfg = check_cfg()
+    real_backward = tr.backward
+    previous = []
+
+    def checked_backward(*args):
+        assert all(ref() is None for ref in previous)
+        previous.clear()
+        return real_backward(*args)
+
+    def recording(params, grads, learning_rate, grad_clip=None, mirror=None):
+        previous.extend(weakref.ref(g) for g in grads.tensors.values())
+        return sgd_step(params, grads, learning_rate, grad_clip, mirror)
+
+    monkeypatch.setattr(tr, "backward", checked_backward)
+    monkeypatch.setattr(tr, "sgd_step", recording)
+    tc = TrainConfig(learning_rate=0.5, minibatch=5, epochs=2, seed=4,
+                     init_scale=0.5)
+    train(tiny_samples(cfg, 20, 15), cfg, tc, make_joint(cfg))
+    assert previous  # the last step's gradients were recorded
 
 
 def test_underflowed_target_probability_is_divergence():
