@@ -24,7 +24,7 @@ shaped inputs for the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,6 +71,17 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def require_ints(config) -> None:
+    """Raise ConfigError unless every ``int`` field of ``config`` holds a Python
+    or NumPy int: a float such as 10.0 passes every range check and fails
+    later as an array size, and a bool is no dimension."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("int", int) and (isinstance(value, bool) or
+                                       not isinstance(value, (int, np.integer))):
+            raise ConfigError(f"{f.name} must be an integer, not {type(value).__name__}")
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with max-subtraction, computed in place in ``x`` and returned;
     the bare formula overflows in low precision."""
@@ -103,6 +114,7 @@ class EncoderConfig:
     attn_depth: int = 1
 
     def __post_init__(self):
+        require_ints(self)
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
         if self.fusion not in FUSIONS:

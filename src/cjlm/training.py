@@ -8,11 +8,9 @@ group against central finite differences computed in extended precision.
 Parameters are stored in float32, but every forward/backward runs in the
 promotion of the parameter dtype with float64 (``jointlm.compute_params``):
 float64 for training, longdouble for the finite-difference oracle, which
-passes longdouble parameters. The update rounds back to storage precision,
-which keeps training runs bit-reproducible for a fixed seed. ``train`` casts
-once: its steps read a float64 mirror of the storage that ``sgd_step`` keeps
-equal to a fresh cast. The mirror's embedding tables are the float32 storage
-itself; each batch widens the rows it gathers.
+passes longdouble parameters. Updates round to float32, which keeps runs
+bit-reproducible for a fixed seed. ``train``'s steps read and update one
+float64 mirror, whose embedding tables are the float32 storage itself.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ class TrainConfig:
     init_scale: float = INIT_SCALE
 
     def __post_init__(self):
+        enc.require_ints(self)
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
         if self.minibatch < 1:
@@ -164,44 +163,28 @@ def sgd_step(
     grads: GradientStore,
     learning_rate: float,
     grad_clip: float | None = None,
-    mirror: JointModelParams | None = None,
 ) -> JointModelParams:
     """In-place update p <- p - lr.g, with optional global-norm clipping.
 
-    The subtraction runs in float64 and rounds back to the storage dtype, so
-    a zero learning rate is an exact no-op. An update that overflows the
-    storage leaves an infinity without a warning; ``train`` reports it. It
-    runs in row blocks of about ``encoder.CHUNK_BYTES`` of float64 values, so
-    a gradient in either memory order is read in cache and the ``lr.g``
-    temporary is one block, not a copy of the tensor. Each rounded block is
-    then copied into ``mirror``, when given, parameters shaped like
-    ``params`` in a wider dtype: a mirror equal to ``params`` stays equal,
-    bit for bit, to a fresh cast of them. A mirror tensor that is the
-    parameter itself, an embedding table shared by ``compute_params``, was
-    updated in place and gets no write-back.
+    It runs in float64, in row blocks of about ``encoder.CHUNK_BYTES`` so a
+    gradient in either memory order is read in cache, and rounds every update
+    to ``PARAM_DTYPE`` whatever ``params``' dtype: a zero rate is a no-op, a
+    float64 mirror stays a cast of float32 values, and an overflow leaves an
+    infinity without a warning (``train`` reports it).
     """
-    scale = 1.0
-    if grad_clip is not None:
-        norm = grads.global_norm()
-        if norm > grad_clip:
-            scale = grad_clip / norm
-    step = learning_rate * scale
-    mirrored = {} if mirror is None else mirror.tensors()
+    step = learning_rate
+    if grad_clip is not None and (norm := grads.global_norm()) > grad_clip:
+        step *= grad_clip / norm
     for name, p in params.tensors().items():
         g = grads.tensors[name]
         if g.shape != p.shape:
             raise ConfigError(
                 f"gradient {name} has shape {g.shape}, parameter has {p.shape}"
             )
-        m = mirrored.get(name)
-        if m is p:
-            m = None
         for lo, hi in enc._chunks(len(p), 8 * p[0].size):
             with np.errstate(over="ignore"):
-                np.subtract(p[lo:hi], step * np.asarray(g[lo:hi], dtype=np.float64),
-                            out=p[lo:hi], dtype=np.float64, casting="same_kind")
-            if m is not None:
-                m[lo:hi] = p[lo:hi]
+                p[lo:hi] = (p[lo:hi] - step * np.asarray(g[lo:hi], dtype=np.float64)
+                            ).astype(PARAM_DTYPE)
     return params
 
 
@@ -225,17 +208,16 @@ def train(
     parameter is non-finite.
 
     Every step and the held-out perplexity read one mirror of ``params`` in
-    the compute dtype, cast once with its output layer laid out and kept
-    equal to a fresh cast by ``sgd_step``, and a step's gradients are freed
-    before the next step starts. Both are for glibc's allocator. It keeps
-    the heap a step frees, so a fresh cast each step, with the previous
-    step's gradients still alive, grew the heap step by step. Freeing the
-    gradients lets it hand back the heap top that the encoder backward
-    needs. ``CHANGES.md`` has the measurements.
+    the compute dtype, cast once with its output layer laid out, and a
+    step's gradients are freed before the next step starts. Both are for
+    glibc's allocator. It keeps the heap a step frees, so a fresh cast each
+    step, with the previous step's gradients still alive, grew the heap step
+    by step. Freeing the gradients lets it hand back the heap top that the
+    encoder backward needs. ``CHANGES.md`` has the measurements.
 
-    The mirror shares the embedding tables with ``params``
-    (``compute_params``): the update writes them once, in place, and
-    ``sgd_step`` copies back only the other tensors.
+    ``sgd_step`` updates the mirror alone; it shares ``params``' embedding
+    tables, and its other tensors are written into ``params`` at each epoch's
+    end or when a step raises, so ``params`` hold the last completed step.
     """
     samples = list(samples)
     if not samples:
@@ -254,20 +236,25 @@ def train(
         started = time.perf_counter()
         order = shuffle_order(train_cfg.seed, epoch, len(samples))
         total = 0.0
-        for start in range(0, len(order), train_cfg.minibatch):
-            idx = order[start : start + train_cfg.minibatch]
-            batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
-            try:
-                grads, nll = backward(batch, cfg, mirror)
-            except TrainingDivergedError as e:
-                raise diverged(e.args[0]) from e
-            if not math.isfinite(nll):
-                raise diverged("non-finite loss")
-            assert not grads.tensors["src_embeddings"][PAD_ID].any()
-            assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
-            sgd_step(params, grads, lr, train_cfg.grad_clip, mirror)
-            del grads  # before the next batch allocates anything
-            total += nll * len(idx)
+        try:
+            for start in range(0, len(order), train_cfg.minibatch):
+                idx = order[start : start + train_cfg.minibatch]
+                batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
+                try:
+                    grads, nll = backward(batch, cfg, mirror)
+                except TrainingDivergedError as e:
+                    raise diverged(e.args[0]) from e
+                if not math.isfinite(nll):
+                    raise diverged("non-finite loss")
+                assert not grads.tensors["src_embeddings"][PAD_ID].any()
+                assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
+                sgd_step(mirror, grads, lr, train_cfg.grad_clip)
+                del grads  # before the next batch allocates anything
+                total += nll * len(idx)
+        finally:  # exact: every mirror value is a float32 value
+            for p, m in zip(params.tensors().values(), mirror.tensors().values()):
+                if p is not m:
+                    p[...] = m
         # The last step, and embedding rows no later batch reads, can
         # overflow the float32 storage after every check above.
         for name, t in params.tensors().items():

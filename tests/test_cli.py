@@ -440,6 +440,23 @@ def test_inspect_crafted_header_is_one_line_error(trained_model, tmp_path, capsy
     assert_one_line_error(capsys, f"malformed header block: {message}")
 
 
+@pytest.mark.parametrize("command", ["eval-ppl", "score-nbest"])
+def test_float_dims_model_is_one_line_error(corpus_dir, trained_model, tmp_path,
+                                            capsys, command):
+    edit, message = CRAFTED_HEADERS["float-dims"]
+    bad = header_copy(trained_model, tmp_path / "bad.cjlm", edit)
+    nbest = tmp_path / "in.nbest"
+    nbest.write_text("0 ||| t0 |||  ||| lm= -1.0 ||| -2.0\n")
+    args = [command, "--model", str(bad),
+            "--source", str(corpus_dir / "held.src")] + {
+        "eval-ppl": ["--target", str(corpus_dir / "held.tgt"),
+                     "--alignment", str(corpus_dir / "held.aln")],
+        "score-nbest": ["--nbest", str(nbest)],
+    }[command]
+    assert cli(args) == 1
+    assert_one_line_error(capsys, f"malformed header block: {message}")
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("failure", ["feature-name", "overlong-source"])
 def test_failed_score_nbest_leaves_output_as_it_was(corpus_dir, trained_model,

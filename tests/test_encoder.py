@@ -320,6 +320,20 @@ def test_rejects_bad_pool_k():
         small_cfg(fusion="pooling", pool_k=3)  # only 2 final locations
 
 
+INT_FIELDS = ("emb_dim", "tgt_emb_dim", "attn_dim", "filters1", "filters3",
+              "repr_dim", "maxlen", "history", "pool_k", "attn_depth")
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_rejects_non_integer_dims(name):
+    # 10.0 == 10 would pass every range check and fail later as an array size.
+    value = getattr(small_cfg(), name)
+    for bad in (float(value), bool(value), np.float64(value)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
+            small_cfg(**{name: bad})
+    assert getattr(small_cfg(**{name: np.int64(value)}), name) == value
+
+
 def test_tag_bits_by_arch():
     assert small_cfg(arch="generic").tag_bits == 0
     assert small_cfg(arch="attention").tag_bits == 0

@@ -175,7 +175,8 @@ def header_copy(path, out, edit):
 
 
 # Checksummed headers on which ``json.loads`` raises RecursionError and
-# ``int(inf)`` raises OverflowError, neither of them a ValueError.
+# ``int(inf)`` raises OverflowError, neither of them a ValueError, and whose
+# float dimensions would pass the tensor shape check (10.0 == 10).
 CRAFTED_HEADERS = {
     "nested": (lambda h: b"[" * 100_000,
                "maximum recursion depth exceeded while decoding a JSON array "
@@ -186,6 +187,9 @@ CRAFTED_HEADERS = {
     "infinite-limit": (
         lambda h: re.sub(rb'"limit":\d+', b'"limit":1e999', h, count=1),
         "cannot convert float infinity to integer"),
+    "float-dims": (
+        lambda h: re.sub(rb'"(maxlen|history)":(\d+)', rb'"\1":\2.0', h),
+        "maxlen must be an integer, not float"),
 }
 
 

@@ -58,6 +58,11 @@ def test_train_config_validation():
         TrainConfig(grad_clip=0.0)
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         TrainConfig(seed=-1)
+    for name in ("minibatch", "epochs", "seed"):
+        for bad in (2.0, True, np.float32(2)):
+            with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
+                TrainConfig(**{name: bad})
+        assert getattr(TrainConfig(**{name: np.int32(2)}), name) == 2
     # The weights are drawn in float64 and stored in float32, where 1e39
     # would overflow.
     for scale in (-0.1, math.inf, 1e308, 1e39):
@@ -120,6 +125,8 @@ def test_sgd_step_zero_like_rate_is_noop():
 
 @pytest.mark.parametrize("rate", [0.1, 1e-50, 1e300])
 def test_sgd_step_matches_the_float64_formula_bytewise(rate):
+    # The float32 storage gets the formula's bytes; a float64 mirror of a
+    # copy gets their float64 widening, its shared tables the bytes themselves.
     rng = np.random.default_rng(5)
     tiny = np.finfo(np.float32).smallest_subnormal
     special = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-39, -1e-39,
@@ -133,9 +140,14 @@ def test_sgd_step_matches_the_float64_formula_bytewise(rate):
     with np.errstate(over="ignore"):
         expected = {name: (t.astype(np.float64) - rate * grads[name]).astype(np.float32)
                     for name, t in params.tensors().items()}
+    mirror = compute_params(params.astype(np.float32))
     sgd_step(params, GradientStore(grads), learning_rate=rate)
+    sgd_step(mirror, GradientStore(grads), learning_rate=rate)
     for name, t in params.tensors().items():
         assert t.tobytes() == expected[name].tobytes(), name
+        m = mirror.tensors()[name]
+        assert m.dtype == (np.float32 if name in EMBEDDING_TABLES else np.float64)
+        assert m.tobytes() == expected[name].astype(m.dtype).tobytes(), name
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -151,14 +163,14 @@ def test_sgd_step_blocks_match_the_whole_tensor_formula(monkeypatch, order):
     assert order == "C" or not grads["softmax_w"].flags.c_contiguous
     expected = {name: (t.astype(np.float64) - 0.3 * grads[name]).astype(np.float32)
                 for name, t in params.tensors().items()}
-    mirrored = params.astype(np.float32)
-    mirror = compute_params(mirrored)
+    mirror = compute_params(params.astype(np.float32))
     sgd_step(params, GradientStore(grads), learning_rate=0.3)
-    sgd_step(mirrored, GradientStore(grads), learning_rate=0.3, mirror=mirror)
+    sgd_step(mirror, GradientStore(grads), learning_rate=0.3)
     for name, t in params.tensors().items():
         assert np.array_equal(t, expected[name]), name
-        assert mirrored.tensors()[name].tobytes() == t.tobytes(), name
-    assert_mirrors(mirror, mirrored)
+        m = mirror.tensors()[name]
+        assert m.tobytes() == expected[name].astype(m.dtype).tobytes(), name
+    assert (mirror.output_layer[:, -1] == 1.0).all()
 
 
 def assert_mirrors(mirror, params, cast=JointModelParams.astype):
@@ -174,6 +186,19 @@ def assert_mirrors(mirror, params, cast=JointModelParams.astype):
             assert mirror.tensors()[name] is own[name], name
         else:
             assert mirror.tensors()[name].tobytes() == t.tobytes(), name
+
+
+def assert_float32_values(mirror, params):
+    """Between ``train``'s steps: ``mirror``'s embedding tables are
+    ``params``'s own arrays, and every other mirror value is a float32 value,
+    so writing it into the float32 storage is exact."""
+    own = params.tensors()
+    for name, m in mirror.tensors().items():
+        if name in EMBEDDING_TABLES:
+            assert m is own[name], name
+        else:
+            assert m.dtype == np.float64, name
+            assert m.astype(np.float32).astype(np.float64).tobytes() == m.tobytes(), name
 
 
 def test_sgd_step_clips_by_global_norm():
@@ -383,15 +408,15 @@ def test_without_halving_rate_is_constant():
 
 def test_last_step_overflow_raises_with_the_previous_checkpoint(monkeypatch):
     # The loss and gradients of the one batch are finite; the step it takes
-    # overflows the float32 parameters, and the mirror with them.
+    # overflows the mirror, and the float32 parameters written from it.
     cfg = check_cfg()
     params = make_joint(cfg)
     initial = params.astype(np.float32)
     mirrors = []
 
-    def recording(params, grads, learning_rate, grad_clip=None, mirror=None):
+    def recording(mirror, grads, learning_rate, grad_clip=None):
         mirrors.append(mirror)
-        return sgd_step(params, grads, learning_rate, grad_clip, mirror)
+        return sgd_step(mirror, grads, learning_rate, grad_clip)
 
     monkeypatch.setattr(tr, "sgd_step", recording)
     with pytest.raises(TrainingDivergedError,
@@ -418,20 +443,29 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
         casts.append((dtype, share_tables))
         return cast(params, dtype, share_tables=share_tables)
 
+    params = make_joint(cfg)
     steps = []
 
-    def checked(params, grads, learning_rate, grad_clip=None, mirror=None):
-        out = sgd_step(params, grads, learning_rate, grad_clip, mirror)
-        assert_mirrors(mirror, params)
+    def checked(mirror, grads, learning_rate, grad_clip=None):
+        out = sgd_step(mirror, grads, learning_rate, grad_clip)
+        assert_float32_values(mirror, params)
         steps.append(mirror)
         return out
+
+    epochs = []
+
+    def on_epoch(entry):
+        # Each epoch's end writes the mirror into the float32 storage.
+        assert_mirrors(steps[-1], params)
+        epochs.append(entry)
 
     monkeypatch.setattr(JointModelParams, "astype", counting)
     monkeypatch.setattr(tr, "sgd_step", checked)
     tc = TrainConfig(learning_rate=0.5, minibatch=minibatch, epochs=2, seed=4,
                      init_scale=0.5)
-    _, metrics = train(tiny_samples(cfg, 20, 15), cfg, tc, make_joint(cfg),
-                       held_out=tiny_samples(cfg, 6, 16))
+    _, metrics = train(tiny_samples(cfg, 20, 15), cfg, tc, params,
+                       held_out=tiny_samples(cfg, 6, 16), on_epoch=on_epoch)
+    assert epochs == metrics
     assert len(casts) == 2 + tc.epochs
     # The mirror alone shares the tables; the checkpoints copy them.
     assert casts == [(np.float32, False), (np.float64, True)] + [
@@ -453,9 +487,9 @@ def test_train_holds_no_gradient_between_steps(monkeypatch):
         previous.clear()
         return real_backward(*args)
 
-    def recording(params, grads, learning_rate, grad_clip=None, mirror=None):
+    def recording(mirror, grads, learning_rate, grad_clip=None):
         previous.extend(weakref.ref(g) for g in grads.tensors.values())
-        return sgd_step(params, grads, learning_rate, grad_clip, mirror)
+        return sgd_step(mirror, grads, learning_rate, grad_clip)
 
     monkeypatch.setattr(tr, "backward", checked_backward)
     monkeypatch.setattr(tr, "sgd_step", recording)
@@ -463,6 +497,39 @@ def test_train_holds_no_gradient_between_steps(monkeypatch):
                      init_scale=0.5)
     train(tiny_samples(cfg, 20, 15), cfg, tc, make_joint(cfg))
     assert previous  # the last step's gradients were recorded
+
+
+def test_divergence_mid_epoch_leaves_params_at_the_last_step(monkeypatch):
+    # The second batch's backward raises after the first step: the float32
+    # parameters hold that step's values, not the epoch's start.
+    cfg = check_cfg()
+    params = make_joint(cfg)
+    initial = params.astype(np.float32)
+    real_backward = tr.backward
+    calls = []
+    mirrors = []
+
+    def failing_backward(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise TrainingDivergedError("non-finite gradient in tensor 'conv1_w'")
+        return real_backward(*args)
+
+    def recording(mirror, grads, learning_rate, grad_clip=None):
+        mirrors.append(mirror)
+        return sgd_step(mirror, grads, learning_rate, grad_clip)
+
+    monkeypatch.setattr(tr, "backward", failing_backward)
+    monkeypatch.setattr(tr, "sgd_step", recording)
+    with pytest.raises(TrainingDivergedError, match=r"'conv1_w' \(epoch 1\)") as exc:
+        train(tiny_samples(cfg, 12, 14), cfg,
+              TrainConfig(learning_rate=0.5, minibatch=6, epochs=1), params)
+    [mirror] = mirrors
+    assert_mirrors(mirror, params)
+    assert not np.array_equal(params.softmax_b, initial.softmax_b)
+    checkpoint = exc.value.checkpoint.tensors()
+    for name, t in initial.tensors().items():
+        assert np.array_equal(checkpoint[name], t), name
 
 
 def test_underflowed_target_probability_is_divergence():
