@@ -44,7 +44,10 @@ INIT_SCALE = 0.08
 PARAM_DTYPE = np.float32
 # Row blocks of the encoder's 2-D products. With two threads, OpenBLAS grows
 # the resident set by about 45 MB on one product of ~20k rows; blocks of this
-# size keep that growth to about 5 MB at the same speed.
+# size keep that growth to about 5 MB at the same speed. The block also fixes
+# every product's rounding: OpenBLAS's float64 result for a row moves with
+# the product's row count, so changing this value changes model bytes and
+# scores. A window product builds its windows one block at a time.
 GEMM_ROWS = 2048
 # Byte budget of one chunk of the encoder's per-sample element-wise passes.
 # A pass over a whole batch's pre-activations runs at memory speed; over
@@ -72,14 +75,17 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def require_ints(config) -> None:
-    """Raise ConfigError unless every ``int`` field of ``config`` holds a Python
-    or NumPy int: a float such as 10.0 passes every range check and fails
-    later as an array size, and a bool is no dimension."""
+    """Raise ConfigError unless every ``int`` field of the frozen dataclass
+    ``config`` holds a Python or NumPy int, and store it as a Python int: a
+    float such as 10.0 passes every range check and fails later as an array
+    size, a bool is no dimension, and a model header holds JSON numbers."""
     for f in fields(config):
+        if f.type not in ("int", int):
+            continue
         value = getattr(config, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool) or
-                                       not isinstance(value, (int, np.integer))):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ConfigError(f"{f.name} must be an integer, not {type(value).__name__}")
+        object.__setattr__(config, f.name, int(value))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -219,8 +225,9 @@ def sigmoid_stack_backward(da: np.ndarray, x: np.ndarray, acts: list[np.ndarray]
 @dataclass
 class BatchCache:
     """Everything the batched backward pass needs from the forward pass: the
-    layer values and the gathered rows, never a window copy of them. Each
-    backward stage rebuilds the windows it reads (``_windows``) from these.
+    layer values and the gathered rows, never a window copy of them. The
+    products over windows build them one ``GEMM_ROWS`` block at a time, and
+    only the weight gradients rebuild a stage's whole windows (``_windows``).
 
     The first layer is linear in the embedding rows, so its word-column terms
     are computed once per distinct source row: ``src`` holds those rows,
@@ -253,15 +260,22 @@ class BatchCache:
     phi: np.ndarray = None
 
 
-def _windows(x: np.ndarray, n: int, span: int = CONV_WINDOW,
-             step: int = 1) -> np.ndarray:
-    """``n`` batched window rows; window i joins rows ``i * step + t``, t < span.
-    Over a sample's rows laid end to end, window i is the ``span * width``
-    values from row ``i * step`` on: one strided view, copied once."""
+def _window_view(x: np.ndarray, n: int, span: int, step: int) -> np.ndarray:
+    """``n`` batched window rows as a strided view; window i joins rows
+    ``i * step + t``, t < span. Over a sample's rows laid end to end, window
+    i is the ``span * width`` values from row ``i * step`` on."""
     width = x.shape[2]
     rows = x.reshape(len(x), x.shape[1] * width)
     views = np.lib.stride_tricks.sliding_window_view(rows, span * width, axis=1)
-    return views[:, : step * width * (n - 1) + 1 : step * width].copy()
+    return views[:, : step * width * (n - 1) + 1 : step * width]
+
+
+def _windows(x: np.ndarray, n: int, span: int = CONV_WINDOW,
+             step: int = 1) -> np.ndarray:
+    """The windows of ``_window_view``, copied once. Only the weight
+    gradients build them: their GEMM's inner dimension runs over the whole
+    batch, and a split of it would change the gradient's rounding."""
+    return _window_view(x, n, span, step).copy()
 
 
 def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.ndarray:
@@ -271,6 +285,67 @@ def _windows_backward(dwin: np.ndarray, dx: np.ndarray, step: int = 1) -> np.nda
     stop = step * (n - 1) + 1
     for t in range(dwin.shape[2] // width):
         dx[:, t : t + stop : step] += dwin[:, :, t * width : (t + 1) * width]
+    return dx
+
+
+def _copy_rows(views: np.ndarray, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Rows ``lo:hi`` of the (batch, n, k) ``views`` flattened to 2-D, copied
+    into ``out``: the end of one sample, whole samples, the start of one."""
+    n, k = views.shape[1:]
+    first, i = divmod(lo, n)
+    last, j = divmod(hi, n)
+    if first == last:
+        out[...] = views[first, i:j]
+        return out
+    whole = n * (last - first) - i
+    out[: n - i] = views[first, i:]
+    out[n - i : whole].reshape(-1, n, k)[...] = views[first + 1 : last]
+    if j:
+        out[whole:] = views[last, :j]
+    return out
+
+
+def _window_matmul(x: np.ndarray, n: int, w: np.ndarray, span: int = CONV_WINDOW,
+                   step: int = 1) -> np.ndarray:
+    """``_matmul(_windows(x, n, span, step), w)`` without the whole-batch
+    window copy: each ``GEMM_ROWS`` block of window rows, which may start and
+    end inside a sample, is copied into one reused buffer and multiplied. Each
+    product sees the operands ``_matmul`` gives it, so every value is the
+    same."""
+    views = _window_view(x, n, span, step)
+    out = np.empty((len(x), n, w.shape[1]), np.result_type(x, w))
+    out_rows = _flat(out)
+    buf = np.empty((min(GEMM_ROWS, len(out_rows)), views.shape[2]), x.dtype)
+    for lo in range(0, len(out_rows), GEMM_ROWS):
+        hi = min(lo + GEMM_ROWS, len(out_rows))
+        np.matmul(_copy_rows(views, lo, hi, buf[: hi - lo]), w, out=out_rows[lo:hi])
+    return out
+
+
+def _window_matmul_backward(dout: np.ndarray, w: np.ndarray, dx: np.ndarray,
+                            step: int = 1) -> np.ndarray:
+    """``_windows_backward(_matmul(dout, w), dx, step)`` without the
+    whole-batch window gradient, and returns ``dx``. Each ``GEMM_ROWS`` block
+    of ``dout``'s rows is multiplied into a staging buffer behind the rows
+    carried from the block before. The samples whose rows are all there are
+    added into ``dx`` as ``_windows_backward`` adds them, and the rows of a
+    sample that the block's end cuts are carried to the next block: a sample
+    added in two parts would receive its block t=2 before t=0. So every
+    element of ``dx`` receives its terms in the same order as before."""
+    n = dout.shape[1]
+    rows = _flat(dout)
+    stage = np.empty((min(GEMM_ROWS, len(rows)) + n, w.shape[1]),
+                     np.result_type(dout, w))
+    carry = done = 0  # rows carried over, samples added
+    for lo in range(0, len(rows), GEMM_ROWS):
+        filled = carry + min(GEMM_ROWS, len(rows) - lo)
+        np.matmul(rows[lo : lo + GEMM_ROWS], w, out=stage[carry:filled])
+        whole = filled // n
+        _windows_backward(stage[: whole * n].reshape(whole, n, w.shape[1]),
+                          dx[done : done + whole], step)
+        done += whole
+        carry = filled - whole * n
+        stage[:carry] = stage[whole * n : filled]
     return dx
 
 
@@ -337,16 +412,17 @@ def _guided_linear(cache: BatchCache, w: np.ndarray, cfg: EncoderConfig, n: int,
     """The two terms ``(word, tag)`` of the per-sample ``_windows(layer0, n,
     span, step) @ w.T`` for a 2-D weight over windows of layer-0 rows (a
     source embedding, then the sample's tag columns). The word term runs once
-    per distinct source, on windows of ``src_rows`` dropped after the product;
-    sample i reads its row ``src_of[i]``. The tag term is per sample, None
-    without tag columns. ``bias`` joins the word term. Sample i's product is
-    its word row plus its tag row, in that order, which fixes the rounding."""
+    per distinct source, on windows of ``src_rows`` built a block at a time
+    (``_window_matmul``); sample i reads its row ``src_of[i]``. The tag term
+    is per sample, None without tag columns. ``bias`` joins the word term.
+    Sample i's product is its word row plus its tag row, in that order, which
+    fixes the rounding."""
     w_word, w_tag = _split_columns(w, cfg)
-    word = _matmul(_windows(cache.src_rows, n, span, step), w_word.reshape(len(w), -1).T)
+    word = _window_matmul(cache.src_rows, n, w_word.reshape(len(w), -1).T, span, step)
     word += bias
     tag = None
     if cfg.tag_bits:
-        tag = _matmul(_windows(cache.tags, n, span, step), w_tag.reshape(len(w), -1).T)
+        tag = _window_matmul(cache.tags, n, w_tag.reshape(len(w), -1).T, span, step)
     return word, tag
 
 
@@ -354,11 +430,11 @@ def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, w: np.ndarray,
                             cfg: EncoderConfig, dsrc_rows: np.ndarray,
                             step: int = 1) -> np.ndarray:
     """Adjoint of ``_guided_linear`` for its product's gradient ``dout``: adds
-    the embedding-row gradient into ``dsrc_rows`` and returns ``w``'s
-    gradient, the word columns from the per-source sums of ``dout``, the tag
-    columns from ``dout`` itself, each over windows rebuilt to span ``w``'s
-    column blocks. The word windows are freed before the adjoint product of
-    their shape is allocated."""
+    the embedding-row gradient into ``dsrc_rows`` through
+    ``_window_matmul_backward``, and returns ``w``'s gradient, the word
+    columns from the per-source sums of ``dout``, the tag columns from
+    ``dout`` itself, each over whole windows rebuilt to span ``w``'s column
+    blocks. The word windows are freed before the tag windows are built."""
     dout_src = _group_sum(dout, cache.src_order, cache.src_starts)
     dw = np.empty_like(w)
     dw_word, dw_tag = _split_columns(dw, cfg)
@@ -369,7 +445,7 @@ def _guided_linear_backward(cache: BatchCache, dout: np.ndarray, w: np.ndarray,
         tag_windows = _windows(cache.tags, dout.shape[1], dw_tag.shape[1], step)
         dw_tag[...] = (_flat(dout).T @ _flat(tag_windows)).reshape(dw_tag.shape)
     w_word, _ = _split_columns(w, cfg)
-    _windows_backward(_matmul(dout_src, w_word.reshape(len(w), -1)), dsrc_rows, step)
+    _window_matmul_backward(dout_src, w_word.reshape(len(w), -1), dsrc_rows, step)
     return dw
 
 
@@ -471,7 +547,7 @@ def forward_batch(
             sigmoid(np.where(take, pre1[:, 0::2], pre1[:, 1::2]), out=z2)
     del word1, tag1, buf
 
-    pre3 = _matmul(_windows(cache.z2, cfg.conv_locs3), p.conv3_w.T)
+    pre3 = _window_matmul(cache.z2, cfg.conv_locs3, p.conv3_w.T)
     if not gating:
         cache.top_idx = np.empty((batch, cfg.pool_k, cfg.filters3), np.intp)
         cache.z3_top = np.empty(cache.top_idx.shape, dtype)
@@ -510,7 +586,8 @@ def backward_batch(
     Returns the gradient dict keyed like ``JointModelParams.tensors`` plus the
     gradient with respect to the flattened history embeddings (attention arch
     only; None otherwise). PAD rows contribute nothing to the embedding
-    gradient because their zero rows are constants.
+    gradient because their zero rows are constants. Each whole-batch
+    intermediate is freed at its last use; the cache is left as it is.
     """
     grads = {}
     dz4 = sigmoid_layer_backward(dphi, cache.z4, cache.phi, "proj", grads) @ p.proj_w
@@ -524,6 +601,7 @@ def backward_batch(
         grads["gate_global_w"] = np.einsum("bl,blf->f", dscores, z3)
         dz3 += dscores[..., None] * p.gate_global_w
         dpre3 = dz3 * z3 * (1.0 - z3)
+        del dz3
     else:
         # Only the top-k locations have a gradient. They are distinct, so
         # assignment is the scatter-add.
@@ -532,7 +610,8 @@ def backward_batch(
         dpre3 = np.zeros((len(dtop), cfg.conv_locs3, cfg.filters3), dtop.dtype)
         np.put_along_axis(dpre3, cache.top_idx, dtop, axis=1)
     linear_backward(dpre3, _windows(cache.z2, cfg.conv_locs3), "conv3", grads)
-    dz2 = _windows_backward(_matmul(dpre3, p.conv3_w), np.zeros_like(cache.z2))
+    dz2 = _window_matmul_backward(dpre3, p.conv3_w, np.zeros_like(cache.z2))
+    del dpre3
 
     dsrc_rows = np.zeros_like(cache.src_rows)
     if cfg.fusion == "gating":
@@ -541,19 +620,23 @@ def backward_batch(
         dz1[:, 0::2] = alpha[..., None] * dz2
         dz1[:, 1::2] = (1.0 - alpha)[..., None] * dz2
         dalpha = np.einsum("blf,blf->bl", dz2, z1[:, 0::2] - z1[:, 1::2])
+        del dz2
         du = dalpha * alpha * (1.0 - alpha)
         grads["gate_local_w"] = _guided_linear_backward(
             cache, du[..., None], p.gate_local_w[None], cfg, dsrc_rows,
             LOCAL_PAIR)[0]
         grads["gate_local_b"] = np.asarray([du.sum()], dtype=du.dtype)
         dpre1 = dz1 * z1 * (1.0 - z1)
+        del dz1
     else:
         # Only the taken member of each pair has a gradient.
         take, z2 = cache.take, cache.z2
         dpool = dz2 * z2 * (1.0 - z2)
+        del dz2
         dpre1 = np.empty((len(z2), cfg.conv_locs1, z2.shape[2]), dpool.dtype)
         dpre1[:, 0::2] = np.where(take, dpool, 0.0)
         dpre1[:, 1::2] = np.where(take, 0.0, dpool)
+        del dpool
     dw1 = _guided_linear_backward(cache, dpre1, p.conv1_w[:, cfg.prefix_dim :],
                                   cfg, dsrc_rows)
     if cfg.arch == "attention":
@@ -562,6 +645,7 @@ def backward_batch(
         dw1 = np.concatenate([dpre_signal.T @ cache.signal_acts[-1], dw1], axis=1)
     grads["conv1_w"] = dw1
     grads["conv1_b"] = _flat(dpre1).sum(axis=0)
+    del dpre1
 
     dhist_flat = None
     if cfg.arch == "attention":

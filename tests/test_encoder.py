@@ -1,5 +1,6 @@
 """Encoder layers: shapes, hand values, and agreement with the loop oracle."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,8 @@ from cjlm.encoder import (
     _guided_linear,
     _guided_linear_backward,
     _matmul,
+    _window_matmul,
+    _window_matmul_backward,
     _windows,
     _windows_backward,
     backward_batch,
@@ -257,6 +260,77 @@ def test_matmul_blocks_match_stacked_product(monkeypatch):
     assert np.array_equal(out, x @ w.T)
 
 
+@pytest.mark.parametrize("span, step", [(3, 1), (4, 2)])
+@pytest.mark.parametrize("gemm_rows", [7, 20, 10**6])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_window_products_equal_the_whole_batch_ones(span, step, gemm_rows, dtype,
+                                                    monkeypatch):
+    # Samples of 11 window rows in blocks of 7 (a sample spans two or three
+    # blocks), of 20 (blocks start and end mid-sample) and of a million (one
+    # block), over 5 samples (a ragged last block) and over one. The adjoint
+    # adds into a dx that already holds sums: each element must receive its
+    # terms in _windows_backward's order, so the sums are exactly equal.
+    monkeypatch.setattr(encoder, "GEMM_ROWS", gemm_rows)
+    rng = np.random.default_rng(gemm_rows + span)
+    n, width, out_dim = 11, 6, 5
+    for batch in (5, 1):
+        x = rng.normal(size=(batch, step * (n - 1) + span, width)).astype(dtype)
+        w = rng.normal(size=(span * width, out_dim)).astype(dtype)
+        out = _window_matmul(x, n, w, span, step)
+        assert out.dtype == dtype
+        assert np.array_equal(out, _matmul(_windows(x, n, span, step), w))
+        dout = rng.normal(size=(batch, n, out_dim)).astype(dtype)
+        sums = rng.normal(size=x.shape).astype(dtype)
+        want = _windows_backward(_matmul(dout, w.T), sums.copy(), step)
+        dx = sums.copy()
+        assert _window_matmul_backward(dout, w.T, dx, step) is dx
+        assert np.array_equal(dx, want)
+
+
+def peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak bytes NumPy allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cache_arrays(cache):
+    """The arrays a ``BatchCache`` holds."""
+    arrays = []
+    for f in fields(cache):
+        value = getattr(cache, f.name)
+        arrays += value if isinstance(value, list) else [value]
+    return [a for a in arrays if a is not None]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("fusion", FUSIONS)
+def test_window_products_copy_no_whole_batch_window_array(arch, fusion, monkeypatch):
+    # With blocks of 64 rows and chunks of 16 KiB, neither forward_batch,
+    # beyond what it returns, nor the adjoint holds a whole-batch window
+    # array: each stays below 0.9 of conv3's, whose copy alone exceeds that.
+    # The largest array left is the tag term, 38 rows a sample against the
+    # windows' 51.
+    monkeypatch.setattr(encoder, "GEMM_ROWS", 64)
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 16 * 1024)
+    cfg = small_cfg(arch=arch, fusion=fusion, maxlen=40, emb_dim=16,
+                    filters1=16, filters3=16)
+    p = make_joint(cfg, seed=5).astype(np.float64)
+    batch = shared_source_batch(cfg, np.random.default_rng(27), n=256)
+    bound = 0.9 * len(batch) * cfg.conv_locs3 * encoder.CONV_WINDOW * cfg.filters1 * 8
+    (phi, cache), peak = peak_bytes(forward_batch, batch.ids, batch.aff_mask,
+                                    batch.head_mask, batch.hist, cfg, p)
+    assert peak - sum(a.nbytes for a in [phi, *cache_arrays(cache)]) < bound
+    dpre3 = np.random.default_rng(28).normal(size=(len(batch), cfg.conv_locs3,
+                                                   cfg.filters3))
+    dz2 = np.zeros_like(cache.z2)
+    _, peak = peak_bytes(_window_matmul_backward, dpre3, p.conv3_w, dz2)
+    assert peak < bound
+
+
 @pytest.mark.parametrize("arch, fusion", [("tag", "gating"), ("attention", "pooling")])
 def test_batch_kernels_match_oracles_across_gemm_blocks(arch, fusion, monkeypatch):
     # Blocks of 7 rows split conv1's, conv3's and their input gradients'
@@ -331,7 +405,8 @@ def test_rejects_non_integer_dims(name):
     for bad in (float(value), bool(value), np.float64(value)):
         with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
             small_cfg(**{name: bad})
-    assert getattr(small_cfg(**{name: np.int64(value)}), name) == value
+    stored = getattr(small_cfg(**{name: np.int64(value)}), name)
+    assert stored == value and type(stored) is int
 
 
 def test_tag_bits_by_arch():
@@ -797,11 +872,7 @@ def test_forward_cache_keeps_no_window_copy(arch, fusion):
     batch = shared_source_batch(cfg, np.random.default_rng(27))
     _, cache = forward_batch(batch.ids, batch.aff_mask, batch.head_mask,
                              batch.hist, cfg, p)
-    arrays = []
-    for f in fields(cache):
-        value = getattr(cache, f.name)
-        arrays += value if isinstance(value, list) else [value]
-    total = sum(a.nbytes for a in arrays if a is not None)
+    total = sum(a.nbytes for a in cache_arrays(cache))
     assert total <= kept_bytes(cfg, len(batch), 3)
 
 

@@ -260,6 +260,28 @@ def test_save_holds_at_most_one_tensor(tmp_path):
         params.softmax_w.tobytes()
 
 
+def test_numpy_int_configs_save_as_plain_ints(tmp_path):
+    # Configs accept NumPy ints and store Python ints, so the header holds
+    # JSON numbers and the file equals the plain-int artifact's.
+    plain = make_artifact()
+    numpy_ints = dataclasses.replace(
+        plain,
+        encoder_config=dataclasses.replace(plain.encoder_config,
+                                           maxlen=np.int64(10), emb_dim=np.int32(5)),
+        train_config=dataclasses.replace(plain.train_config,
+                                         minibatch=np.int32(500), seed=np.int64(9)),
+    )
+    assert numpy_ints.encoder_config == plain.encoder_config
+    assert type(numpy_ints.encoder_config.maxlen) is int
+    assert type(numpy_ints.train_config.minibatch) is int
+    save_model(plain, tmp_path / "plain")
+    save_model(numpy_ints, tmp_path / "numpy")
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
+    loaded = load_model(tmp_path / "numpy")
+    assert loaded.encoder_config == plain.encoder_config
+    assert loaded.train_config == plain.train_config
+
+
 def test_no_train_config_round_trips_as_none(tmp_path):
     artifact = make_artifact()
     artifact.train_config = None
