@@ -74,18 +74,32 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def require_ints(config) -> None:
-    """Raise ConfigError unless every ``int`` field of the frozen dataclass
-    ``config`` holds a Python or NumPy int, and store it as a Python int: a
-    float such as 10.0 passes every range check and fails later as an array
-    size, a bool is no dimension, and a model header holds JSON numbers."""
+# The values a config field of each annotated type takes, the Python type it
+# is stored as, and what the error says it must be. A bool is no number.
+_FIELD_TYPES = {
+    "int": ((int, np.integer), int, "an integer"),
+    "float": ((int, float, np.integer, np.floating), float, "a number"),
+    "bool": ((bool, np.bool_), bool, "a bool"),
+}
+
+
+def require_field_types(config) -> None:
+    """Raise ConfigError unless every ``int``, ``float`` and ``bool`` field
+    of the frozen dataclass ``config`` holds a Python or NumPy value of its
+    type, an int being a float too and None an optional field's value, and
+    store it as that Python type: a float such as 10.0 passes every range
+    check and fails later as an array size, a bool is no number, and a
+    model header holds JSON values."""
     for f in fields(config):
-        if f.type not in ("int", int):
-            continue
         value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{f.name} must be an integer, not {type(value).__name__}")
-        object.__setattr__(config, f.name, int(value))
+        kind = f.type.removesuffix(" | None")
+        if kind not in _FIELD_TYPES or value is None and kind != f.type:
+            continue
+        accepted, stored, what = _FIELD_TYPES[kind]
+        if not isinstance(value, accepted) or (
+                stored is not bool and isinstance(value, bool)):
+            raise ConfigError(f"{f.name} must be {what}, not {type(value).__name__}")
+        object.__setattr__(config, f.name, stored(value))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -120,7 +134,7 @@ class EncoderConfig:
     attn_depth: int = 1
 
     def __post_init__(self):
-        require_ints(self)
+        require_field_types(self)
         if self.arch not in ARCHS:
             raise ConfigError(f"unknown arch {self.arch!r}; expected one of {ARCHS}")
         if self.fusion not in FUSIONS:

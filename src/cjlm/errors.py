@@ -36,7 +36,11 @@ class ModelFormatError(CjlmError):
 
 
 class TrainingDivergedError(CjlmError):
-    """Training NLL became non-finite. Carries the last finite checkpoint."""
+    """A training loss, gradient or parameter became non-finite.
+
+    ``checkpoint`` is the trained parameters, as they were at the last
+    completed epoch's end or, before any, as training got them.
+    """
 
     def __init__(self, message, checkpoint=None, metrics=None):
         super().__init__(message)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, require_field_types
 from .errors import ConfigError, CorpusError, ModelFormatError
 from .jointlm import JointModelParams, param_spec
 from .training import TrainConfig
@@ -51,6 +51,9 @@ class ModelArtifact:
     train_config: TrainConfig | None = None
     emit_eos: bool = True
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        require_field_types(self)
 
 
 def _header_json(artifact: ModelArtifact) -> bytes:
@@ -131,6 +134,15 @@ def save_model(artifact: ModelArtifact, path) -> None:
         f.write(digest.digest()[:CHECKSUM_BYTES])
 
 
+def _typed(name: str, value, kind: type):
+    """``value`` when its JSON type is exactly ``kind``: a JSON bool is no
+    integer, and ``int`` or ``bool`` would read 4.7, "4" or "false" as one."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {'a bool' if kind is bool else 'an integer'}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 class _Reader:
     def __init__(self, data: memoryview):
         self.data = data
@@ -177,15 +189,16 @@ def load_model(path) -> ModelArtifact:
         cfg = EncoderConfig(**header["encoder_config"])
         train_cfg = (None if header["train_config"] is None
                      else TrainConfig(**header["train_config"]))
-        hidden_dims = tuple(int(d) for d in header["hidden_dims"])
-        emit_eos = bool(header["emit_eos"])
+        hidden_dims = tuple(_typed("hidden_dims entry", d, int)
+                            for d in header["hidden_dims"])
+        emit_eos = _typed("emit_eos", header["emit_eos"], bool)
         src_vocab = Vocabulary(
             tokens=tuple(header["source_vocab"]["tokens"]),
-            limit=int(header["source_vocab"]["limit"]),
+            limit=header["source_vocab"]["limit"],
         )
         tgt_vocab = Vocabulary(
             tokens=tuple(header["target_vocab"]["tokens"]),
-            limit=int(header["target_vocab"]["limit"]),
+            limit=header["target_vocab"]["limit"],
         )
         provenance = header["provenance"]
         expected = {spec.name: spec.shape for spec in

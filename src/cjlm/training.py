@@ -10,7 +10,8 @@ promotion of the parameter dtype with float64 (``jointlm.compute_params``):
 float64 for training, longdouble for the finite-difference oracle, which
 passes longdouble parameters. Updates round to float32, which keeps runs
 bit-reproducible for a fixed seed. ``train``'s steps read and update one
-float64 mirror, whose embedding tables are the float32 storage itself.
+float64 mirror of a float32 copy of the parameters, and the parameters
+themselves change only at epoch ends.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class TrainConfig:
     init_scale: float = INIT_SCALE
 
     def __post_init__(self):
-        enc.require_ints(self)
+        enc.require_field_types(self)
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
         if self.minibatch < 1:
@@ -203,21 +204,21 @@ def train(
 ) -> tuple[JointModelParams, list[EpochMetrics]]:
     """Shuffled minibatch SGD over the sample set, mutating ``params``.
 
-    Raises TrainingDivergedError carrying the last end-of-epoch checkpoint and
-    the metrics so far when the loss, any gradient or, at an epoch's end, any
-    parameter is non-finite.
+    ``params`` change only at epoch ends, when every mirror tensor is
+    written into them once all are finite. TrainingDivergedError, raised when
+    the loss, any gradient or, at an epoch's end, any parameter is
+    non-finite, carries ``params`` as its checkpoint and the metrics so far:
+    ``params`` then hold the last completed epoch, or the values ``train``
+    was called with.
 
-    Every step and the held-out perplexity read one mirror of ``params`` in
-    the compute dtype, cast once with its output layer laid out, and a
-    step's gradients are freed before the next step starts. Both are for
-    glibc's allocator. It keeps the heap a step frees, so a fresh cast each
-    step, with the previous step's gradients still alive, grew the heap step
-    by step. Freeing the gradients lets it hand back the heap top that the
-    encoder backward needs. ``CHANGES.md`` has the measurements.
-
-    ``sgd_step`` updates the mirror alone; it shares ``params``' embedding
-    tables, and its other tensors are written into ``params`` at each epoch's
-    end or when a step raises, so ``params`` hold the last completed step.
+    Every step and the held-out perplexity read one mirror in the compute
+    dtype: a copy of ``params`` in their own dtype, cast once with its output
+    layer laid out, so it shares no array with ``params``. A step's gradients
+    are freed before the next step starts. The one cast and the freeing are
+    for glibc's allocator. It keeps the heap a step frees, so a fresh cast
+    each step, with the previous step's gradients still alive, grew the heap
+    step by step. Freeing the gradients lets it hand back the heap top that
+    the encoder backward needs. ``CHANGES.md`` has the measurements.
     """
     samples = list(samples)
     if not samples:
@@ -225,48 +226,43 @@ def train(
     metrics: list[EpochMetrics] = []
     lr = train_cfg.learning_rate
     best = math.inf
-    checkpoint = params.astype(PARAM_DTYPE)
-    mirror = jm.compute_params(params)
+    mirror = jm.compute_params(params.astype(params.softmax_w.dtype))
 
     def diverged(message: str) -> TrainingDivergedError:
         return TrainingDivergedError(f"{message} (epoch {epoch})",
-                                     checkpoint=checkpoint, metrics=list(metrics))
+                                     checkpoint=params, metrics=list(metrics))
 
     for epoch in range(1, train_cfg.epochs + 1):
         started = time.perf_counter()
         order = shuffle_order(train_cfg.seed, epoch, len(samples))
         total = 0.0
-        try:
-            for start in range(0, len(order), train_cfg.minibatch):
-                idx = order[start : start + train_cfg.minibatch]
-                batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
-                try:
-                    grads, nll = backward(batch, cfg, mirror)
-                except TrainingDivergedError as e:
-                    raise diverged(e.args[0]) from e
-                if not math.isfinite(nll):
-                    raise diverged("non-finite loss")
-                assert not grads.tensors["src_embeddings"][PAD_ID].any()
-                assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
-                sgd_step(mirror, grads, lr, train_cfg.grad_clip)
-                del grads  # before the next batch allocates anything
-                total += nll * len(idx)
-        finally:  # exact: every mirror value is a float32 value
-            for p, m in zip(params.tensors().values(), mirror.tensors().values()):
-                if p is not m:
-                    p[...] = m
+        for start in range(0, len(order), train_cfg.minibatch):
+            idx = order[start : start + train_cfg.minibatch]
+            batch = SampleBatch.from_samples([samples[i] for i in idx], cfg)
+            try:
+                grads, nll = backward(batch, cfg, mirror)
+            except TrainingDivergedError as e:
+                raise diverged(e.args[0]) from e
+            if not math.isfinite(nll):
+                raise diverged("non-finite loss")
+            assert not grads.tensors["src_embeddings"][PAD_ID].any()
+            assert not grads.tensors["tgt_embeddings"][PAD_ID].any()
+            sgd_step(mirror, grads, lr, train_cfg.grad_clip)
+            del grads  # before the next batch allocates anything
+            total += nll * len(idx)
         # The last step, and embedding rows no later batch reads, can
-        # overflow the float32 storage after every check above.
-        for name, t in params.tensors().items():
+        # overflow float32 after every check above.
+        for name, t in mirror.tensors().items():
             if not np.isfinite(t).all():
                 raise diverged(f"non-finite parameter in tensor {name!r}")
+        for p, m in zip(params.tensors().values(), mirror.tensors().values()):
+            p[...] = m  # exact: every mirror value is a float32 value
         train_nll = total / len(samples)
         ppl = jm.perplexity(held_out, cfg, mirror) if held_out else None
         signal = ppl if ppl is not None else train_nll
         if train_cfg.lr_halving and signal >= best:
             lr /= 2.0
         best = min(best, signal)
-        checkpoint = params.astype(PARAM_DTYPE)
         entry = EpochMetrics(
             epoch=epoch, train_nll=train_nll, held_out_ppl=ppl,
             learning_rate=lr, wall_time_s=time.perf_counter() - started,

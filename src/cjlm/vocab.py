@@ -6,6 +6,7 @@ maps to UNK at lookup time. The four reserved tokens always occupy ids 0-3.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
@@ -37,6 +38,11 @@ class Vocabulary:
     eos_id: ClassVar[int] = EOS_ID
 
     def __post_init__(self):
+        # Stored as a Python int: a model header holds it as a JSON integer.
+        if isinstance(self.limit, bool) or not hasattr(type(self.limit), "__index__"):
+            raise CorpusError(
+                f"vocabulary limit must be an integer, not {type(self.limit).__name__}")
+        object.__setattr__(self, "limit", operator.index(self.limit))
         if self.tokens[: len(RESERVED_TOKENS)] != RESERVED_TOKENS:
             raise CorpusError("vocabulary must start with the reserved tokens")
         if len(self.tokens) > self.limit + len(RESERVED_TOKENS):

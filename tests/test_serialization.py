@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cjlm.encoder import EncoderConfig
-from cjlm.errors import ModelFormatError
+from cjlm.errors import ConfigError, ModelFormatError
 from cjlm.jointlm import JointModelParams, log_probs_batch
 from cjlm.serialization import (
     CHECKSUM_BYTES,
@@ -23,7 +23,7 @@ from cjlm.serialization import (
     save_model,
 )
 from cjlm.training import TrainConfig
-from cjlm.vocab import build_vocabulary
+from cjlm.vocab import Vocabulary, build_vocabulary
 
 from test_jointlm import random_samples
 
@@ -174,8 +174,9 @@ def header_copy(path, out, edit):
     return out
 
 
-# Checksummed headers on which ``json.loads`` raises RecursionError and
-# ``int(inf)`` raises OverflowError, neither of them a ValueError, and whose
+# Checksummed headers on which ``json.loads`` raises RecursionError, and
+# header values of the wrong JSON type: ``int`` would read 1e999 as an
+# OverflowError and 5.9 or "5" as 5, ``bool`` would read "false" as True, and
 # float dimensions would pass the tensor shape check (10.0 == 10).
 CRAFTED_HEADERS = {
     "nested": (lambda h: b"[" * 100_000,
@@ -183,13 +184,34 @@ CRAFTED_HEADERS = {
                "from a unicode string"),
     "infinite-hidden-dim": (
         lambda h: re.sub(rb'"hidden_dims":\[[^\]]*\]', b'"hidden_dims":[1e999]', h),
-        "cannot convert float infinity to integer"),
+        "hidden_dims entry must be an integer, not float"),
+    "fractional-hidden-dim": (
+        lambda h: re.sub(rb'"hidden_dims":\[[^\]]*\]', b'"hidden_dims":[4.7]', h),
+        "hidden_dims entry must be an integer, not float"),
+    "string-hidden-dim": (
+        lambda h: re.sub(rb'"hidden_dims":\[[^\]]*\]', b'"hidden_dims":["4"]', h),
+        "hidden_dims entry must be an integer, not str"),
     "infinite-limit": (
         lambda h: re.sub(rb'"limit":\d+', b'"limit":1e999', h, count=1),
-        "cannot convert float infinity to integer"),
+        "vocabulary limit must be an integer, not float"),
+    "fractional-limit": (
+        lambda h: re.sub(rb'"limit":\d+', b'"limit":5.9', h, count=1),
+        "vocabulary limit must be an integer, not float"),
+    "string-limit": (
+        lambda h: re.sub(rb'"limit":\d+', b'"limit":"5"', h, count=1),
+        "vocabulary limit must be an integer, not str"),
+    "string-emit-eos": (
+        lambda h: re.sub(rb'"emit_eos":(true|false)', b'"emit_eos":"false"', h),
+        "emit_eos must be a bool, not str"),
     "float-dims": (
         lambda h: re.sub(rb'"(maxlen|history)":(\d+)', rb'"\1":\2.0', h),
         "maxlen must be an integer, not float"),
+    "bool-learning-rate": (
+        lambda h: re.sub(rb'"learning_rate":[^,}]+', b'"learning_rate":true', h),
+        "learning_rate must be a number, not bool"),
+    "string-lr-halving": (
+        lambda h: re.sub(rb'"lr_halving":(true|false)', b'"lr_halving":"no"', h),
+        "lr_halving must be a bool, not str"),
 }
 
 
@@ -280,6 +302,36 @@ def test_numpy_int_configs_save_as_plain_ints(tmp_path):
     loaded = load_model(tmp_path / "numpy")
     assert loaded.encoder_config == plain.encoder_config
     assert loaded.train_config == plain.train_config
+
+
+def test_numpy_float_and_bool_configs_save_as_plain_values(tmp_path):
+    # Float fields take ints and NumPy numbers and store Python floats, bool
+    # fields take NumPy bools and store Python bools, and a vocabulary limit
+    # takes a NumPy int, so the header holds JSON numbers and bools and the
+    # file equals the plain artifact's.
+    plain = make_artifact()
+    plain.train_config = dataclasses.replace(
+        plain.train_config, grad_clip=1.0, lr_halving=True, init_scale=2.0)
+    numpy_values = dataclasses.replace(
+        plain,
+        train_config=dataclasses.replace(
+            plain.train_config, learning_rate=np.float64(0.3),
+            grad_clip=np.float32(1), lr_halving=np.bool_(True), init_scale=2),
+        source_vocab=Vocabulary(plain.source_vocab.tokens,
+                                np.int64(plain.source_vocab.limit)),
+        emit_eos=np.bool_(True),
+    )
+    for name in ("learning_rate", "grad_clip", "init_scale"):
+        assert type(getattr(numpy_values.train_config, name)) is float, name
+    assert numpy_values.train_config.lr_halving is True
+    assert numpy_values.emit_eos is True
+    save_model(plain, tmp_path / "plain")
+    save_model(numpy_values, tmp_path / "numpy")
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "plain").read_bytes()
+    assert load_model(tmp_path / "numpy").train_config == plain.train_config
+    for bad in (1, "false", None):
+        with pytest.raises(ConfigError, match="^emit_eos must be a bool, not "):
+            dataclasses.replace(plain, emit_eos=bad)
 
 
 def test_no_train_config_round_trips_as_none(tmp_path):

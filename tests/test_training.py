@@ -63,6 +63,18 @@ def test_train_config_validation():
             with pytest.raises(ConfigError, match=f"^{name} must be an integer, not "):
                 TrainConfig(**{name: bad})
         assert getattr(TrainConfig(**{name: np.int32(2)}), name) == 2
+    for name in ("learning_rate", "grad_clip", "init_scale"):
+        for bad in (True, np.bool_(True), "1"):
+            with pytest.raises(ConfigError, match=f"^{name} must be a number, not "):
+                TrainConfig(**{name: bad})
+        stored = getattr(TrainConfig(**{name: np.float32(0.5)}), name)
+        assert stored == 0.5 and type(stored) is float
+        stored = getattr(TrainConfig(**{name: 1}), name)
+        assert stored == 1.0 and type(stored) is float
+    for bad in (1, 0, "no", None):
+        with pytest.raises(ConfigError, match="^lr_halving must be a bool, not "):
+            TrainConfig(lr_halving=bad)
+    assert TrainConfig(lr_halving=np.bool_(True)).lr_halving is True
     # The weights are drawn in float64 and stored in float32, where 1e39
     # would overflow.
     for scale in (-0.1, math.inf, 1e308, 1e39):
@@ -174,28 +186,34 @@ def test_sgd_step_blocks_match_the_whole_tensor_formula(monkeypatch, order):
 
 
 def assert_mirrors(mirror, params, cast=JointModelParams.astype):
-    """``mirror``'s embedding tables are ``params``'s own arrays, and every
-    other tensor equals a fresh float64 cast of ``params`` bit for bit, its
-    output layer's ones column included. ``cast`` is bound at import, so a
-    test that counts calls of ``astype`` can still call this."""
+    """``mirror`` shares no array with ``params``. Its embedding tables are
+    its own arrays, bit for bit equal to ``params``'s, and every other tensor
+    equals a fresh float64 cast of ``params`` bit for bit, its output layer's
+    ones column included. ``cast`` is bound at import, so a test that counts
+    calls of ``astype`` can still call this."""
     fresh = cast(params, np.float64)
     own = params.tensors()
     assert mirror.output_layer.tobytes() == fresh.output_layer.tobytes()
     for name, t in fresh.tensors().items():
+        m = mirror.tensors()[name]
+        assert not np.shares_memory(m, own[name]), name
         if name in EMBEDDING_TABLES:
-            assert mirror.tensors()[name] is own[name], name
+            assert m.dtype == own[name].dtype, name
+            assert m.tobytes() == own[name].tobytes(), name
         else:
-            assert mirror.tensors()[name].tobytes() == t.tobytes(), name
+            assert m.tobytes() == t.tobytes(), name
 
 
 def assert_float32_values(mirror, params):
-    """Between ``train``'s steps: ``mirror``'s embedding tables are
-    ``params``'s own arrays, and every other mirror value is a float32 value,
-    so writing it into the float32 storage is exact."""
+    """Between ``train``'s steps: ``mirror`` shares no array with ``params``,
+    its embedding tables are float32 arrays of its own, and every other
+    mirror value is a float32 value, so writing it into the float32 storage
+    is exact."""
     own = params.tensors()
     for name, m in mirror.tensors().items():
+        assert not np.shares_memory(m, own[name]), name
         if name in EMBEDDING_TABLES:
-            assert m is own[name], name
+            assert m.dtype == np.float32, name
         else:
             assert m.dtype == np.float64, name
             assert m.astype(np.float32).astype(np.float64).tobytes() == m.tobytes(), name
@@ -408,7 +426,7 @@ def test_without_halving_rate_is_constant():
 
 def test_last_step_overflow_raises_with_the_previous_checkpoint(monkeypatch):
     # The loss and gradients of the one batch are finite; the step it takes
-    # overflows the mirror, and the float32 parameters written from it.
+    # overflows the mirror, and the float32 parameters are never written.
     cfg = check_cfg()
     params = make_joint(cfg)
     initial = params.astype(np.float32)
@@ -426,15 +444,16 @@ def test_last_step_overflow_raises_with_the_previous_checkpoint(monkeypatch):
     checkpoint = exc.value.checkpoint.tensors()
     for name, t in initial.tensors().items():
         assert np.array_equal(checkpoint[name], t), name
+        assert np.isfinite(params.tensors()[name]).all(), name
+        assert np.array_equal(params.tensors()[name], t), name
     [mirror] = mirrors
-    assert any(np.isinf(t).any() for t in params.tensors().values())
-    assert_mirrors(mirror, params)
+    assert any(np.isinf(t).any() for t in mirror.tensors().values())
 
 
 @pytest.mark.parametrize("minibatch", [3, 20])
 def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
-    # The first checkpoint, the mirror and one checkpoint per epoch, however
-    # many steps: the steps and the held-out perplexity read the mirror.
+    # A float32 copy and the mirror cast from it, however many steps and
+    # epochs: the steps and the held-out perplexity read the mirror.
     cfg = check_cfg()
     cast = JointModelParams.astype
     casts = []
@@ -466,13 +485,94 @@ def test_train_casts_once_and_keeps_the_mirror_exact(monkeypatch, minibatch):
     _, metrics = train(tiny_samples(cfg, 20, 15), cfg, tc, params,
                        held_out=tiny_samples(cfg, 6, 16), on_epoch=on_epoch)
     assert epochs == metrics
-    assert len(casts) == 2 + tc.epochs
-    # The mirror alone shares the tables; the checkpoints copy them.
-    assert casts == [(np.float32, False), (np.float64, True)] + [
-        (np.float32, False)] * tc.epochs
+    # The mirror shares the copy's tables, and the copy shares nothing.
+    assert casts == [(np.float32, False), (np.float64, True)]
     assert len(steps) == tc.epochs * -(-20 // minibatch)
     assert all(m is steps[0] for m in steps)
     assert all(m.held_out_ppl is not None for m in metrics)
+
+
+def test_train_casts_the_same_for_any_epoch_count(monkeypatch):
+    cfg = check_cfg()
+    cast = JointModelParams.astype
+    casts = []
+
+    def counting(params, dtype, *, share_tables=False):
+        casts[-1].append((dtype, share_tables))
+        return cast(params, dtype, share_tables=share_tables)
+
+    monkeypatch.setattr(JointModelParams, "astype", counting)
+    for epochs in (1, 3):
+        casts.append([])
+        train(tiny_samples(cfg, 10, 15), cfg,
+              TrainConfig(learning_rate=0.5, minibatch=5, epochs=epochs, seed=4,
+                          init_scale=0.5), make_joint(cfg))
+    assert casts[0] == casts[1] == [(np.float32, False), (np.float64, True)]
+
+
+def test_params_change_only_at_epoch_ends(monkeypatch):
+    # Every step of a 2-epoch run leaves the float32 parameters at the
+    # epoch's start values; on_epoch sees the epoch's end values.
+    cfg = check_cfg()
+    params = make_joint(cfg)
+    start = [params.astype(np.float32)]
+    steps = []
+
+    def checked(mirror, grads, learning_rate, grad_clip=None):
+        out = sgd_step(mirror, grads, learning_rate, grad_clip)
+        steps.append(mirror)
+        own = params.tensors()
+        for name, t in start[-1].tensors().items():
+            assert own[name].tobytes() == t.tobytes(), name
+            for m in mirror.tensors().values():
+                assert not np.shares_memory(own[name], m), name
+        return out
+
+    def on_epoch(entry):
+        assert_mirrors(steps[-1], params)
+        assert not np.array_equal(params.softmax_b, start[-1].softmax_b)
+        start.append(params.astype(np.float32))
+
+    monkeypatch.setattr(tr, "sgd_step", checked)
+    tc = TrainConfig(learning_rate=0.5, minibatch=5, epochs=2, seed=4,
+                     init_scale=0.5)
+    train(tiny_samples(cfg, 20, 15), cfg, tc, params, on_epoch=on_epoch)
+    assert len(steps) == 8 and len(start) == 3
+
+
+@pytest.mark.parametrize("failure", ["backward", "overflow"])
+def test_a_raise_leaves_params_finite_as_the_checkpoint(monkeypatch, failure):
+    # One step an epoch; step 2, epoch 2's, fails. The error carries the
+    # parameters themselves, which hold epoch 1's end and are all finite.
+    cfg = check_cfg()
+    params = make_joint(cfg)
+    real_backward = tr.backward
+    calls = []
+    ends = []
+
+    def failing_backward(*args):
+        calls.append(None)
+        if failure == "backward" and len(calls) == 2:
+            raise TrainingDivergedError("non-finite gradient in tensor 'conv1_w'")
+        return real_backward(*args)
+
+    def overflowing(mirror, grads, learning_rate, grad_clip=None):
+        if failure == "overflow" and len(calls) == 2:
+            learning_rate = 1e300
+        return sgd_step(mirror, grads, learning_rate, grad_clip)
+
+    monkeypatch.setattr(tr, "backward", failing_backward)
+    monkeypatch.setattr(tr, "sgd_step", overflowing)
+    with pytest.raises(TrainingDivergedError, match=r"\(epoch 2\)$") as exc:
+        train(tiny_samples(cfg, 6, 14), cfg,
+              TrainConfig(learning_rate=0.5, minibatch=6, epochs=2), params,
+              on_epoch=lambda entry: ends.append(params.astype(np.float32)))
+    assert exc.value.checkpoint is params
+    assert len(exc.value.metrics) == 1
+    [end] = ends
+    for name, t in params.tensors().items():
+        assert np.isfinite(t).all(), name
+        assert t.tobytes() == end.tensors()[name].tobytes(), name
 
 
 def test_train_holds_no_gradient_between_steps(monkeypatch):
@@ -499,9 +599,9 @@ def test_train_holds_no_gradient_between_steps(monkeypatch):
     assert previous  # the last step's gradients were recorded
 
 
-def test_divergence_mid_epoch_leaves_params_at_the_last_step(monkeypatch):
-    # The second batch's backward raises after the first step: the float32
-    # parameters hold that step's values, not the epoch's start.
+def test_divergence_mid_epoch_leaves_params_at_the_epoch_start(monkeypatch):
+    # The second batch's backward raises after the first step: the mirror
+    # took that step, and the float32 parameters hold the epoch's start.
     cfg = check_cfg()
     params = make_joint(cfg)
     initial = params.astype(np.float32)
@@ -525,11 +625,11 @@ def test_divergence_mid_epoch_leaves_params_at_the_last_step(monkeypatch):
         train(tiny_samples(cfg, 12, 14), cfg,
               TrainConfig(learning_rate=0.5, minibatch=6, epochs=1), params)
     [mirror] = mirrors
-    assert_mirrors(mirror, params)
-    assert not np.array_equal(params.softmax_b, initial.softmax_b)
+    assert not np.array_equal(mirror.softmax_b, initial.softmax_b)
     checkpoint = exc.value.checkpoint.tensors()
     for name, t in initial.tensors().items():
         assert np.array_equal(checkpoint[name], t), name
+        assert params.tensors()[name].tobytes() == t.tobytes(), name
 
 
 def test_underflowed_target_probability_is_divergence():

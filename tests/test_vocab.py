@@ -1,5 +1,6 @@
 """Vocabulary construction and lookup behavior."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +102,15 @@ def test_vocabulary_takes_only_tokens_and_limit():
 def test_vocabulary_rejects_overflow():
     with pytest.raises(CorpusError, match="limit"):
         Vocabulary(tokens=RESERVED_TOKENS + ("a", "b"), limit=1)
+
+
+def test_vocabulary_limit_is_an_integer():
+    # A model header holds the limit as a JSON integer.
+    for bad in (5.0, True, "5", np.float64(5)):
+        with pytest.raises(CorpusError, match="^vocabulary limit must be an integer, not "):
+            Vocabulary(RESERVED_TOKENS, bad)
+    limit = Vocabulary(RESERVED_TOKENS, np.int64(5)).limit
+    assert limit == 5 and type(limit) is int
 
 
 token_lists = st.lists(
